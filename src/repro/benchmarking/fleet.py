@@ -44,26 +44,18 @@ from repro.sim.kernel import Environment
 from repro.traces.archive import PriceTrace, TraceArchive
 from repro.workloads import default_fleet_mix
 
-#: Calm-market spot price for the fleet cell, far under the m3.2xlarge
-#: on-demand bid, so no revocation machinery ever wakes.  The sizing
-#: helpers moved into :mod:`repro.core.shard.market` (the shard layer
-#: sizes each market's backup tier the same way); these aliases keep
-#: the bench self-describing.
-_CALM_PRICE = CALM_PRICE
-_steady_rate_bps = steady_rate_bps
-_fleet_backup_spec = fleet_backup_spec
 
-
-def _drive_cell(n_vms, days, seed, mix=None, soa=False):
+def _drive_cell(n_vms, days, seed, mix=None):
     """Run one calm-market fleet cell; returns its measurement dict.
 
-    ``mix`` (a :class:`~repro.workloads.mix.FleetMix`) provisions the
-    fleet as a heterogeneous population of write-scaled workload
-    classes instead of the homogeneous default — the same code path
-    either way, the homogeneous cell simply being the single-class
-    mix.  ``soa`` serves the steady flushes from the struct-of-arrays
-    cohort core.  The backup tier is sized from the default workload
-    probe, an upper bound for any mix whose factors stay <= 1.
+    The spot price sits at :data:`~repro.core.shard.market.CALM_PRICE`,
+    far under the m3.2xlarge on-demand bid, so no revocation machinery
+    ever wakes.  ``mix`` (a :class:`~repro.workloads.mix.FleetMix`)
+    provisions the fleet as a heterogeneous population of write-scaled
+    workload classes instead of the homogeneous default — the same
+    code path either way, the homogeneous cell simply being the
+    single-class mix.  The backup tier is sized from the default
+    workload probe, an upper bound for any mix whose factors stay <= 1.
     """
     env = Environment(seed=seed)
     region = default_region(1)
@@ -72,7 +64,7 @@ def _drive_cell(n_vms, days, seed, mix=None, soa=False):
     duration_s = days * 24 * 3600.0
     itype = M3_CATALOG.get("m3.2xlarge")
     archive = TraceArchive()
-    archive.add(PriceTrace([0.0, duration_s], [_CALM_PRICE, _CALM_PRICE],
+    archive.add(PriceTrace([0.0, duration_s], [CALM_PRICE, CALM_PRICE],
                            itype.name, zone.name, itype.on_demand_price))
 
     config = SpotCheckConfig(
@@ -80,10 +72,9 @@ def _drive_cell(n_vms, days, seed, mix=None, soa=False):
         vms_per_backup=n_vms,
         steady_checkpoint_flush=True,
         defer_flush_accounting=True,
-        soa_checkpoint_flush=soa,
     )
-    rate_bps = _steady_rate_bps(env, config)
-    spec, shards = _fleet_backup_spec(n_vms, rate_bps)
+    rate_bps = steady_rate_bps(env, config)
+    spec, shards = fleet_backup_spec(n_vms, rate_bps)
     config.backup_spec = spec
 
     controller = SpotCheckController(env, api, config)
@@ -165,19 +156,20 @@ def measure_fleet_scaling(small_vms=10, large_vms=100_000, days=14.0,
 def measure_fleet_mix(vms=100_000, days=14.0, seed=11, classes=8,
                       baseline=None, digest_vms=2_000, digest_markets=4,
                       shard_counts=(1, 2), echo=None):
-    """Benchmark the heterogeneous fleet cell; assert SoA bit-identity.
+    """Benchmark the heterogeneous fleet cell; assert its bit-identity.
 
     Drives the calm fleet cell once as a ``classes``-way heterogeneous
-    population (:func:`~repro.workloads.mix.default_fleet_mix`) with
-    the struct-of-arrays cohort core serving the flushes, and compares
-    it against the homogeneous cell of the same size — pass the fleet
-    benchmark's large cell as ``baseline`` to reuse its measurement.
+    population (:func:`~repro.workloads.mix.default_fleet_mix`), the
+    group checkpoint scheduler serving every class's cohorts, and
+    compares it against the homogeneous cell of the same size — pass
+    the fleet benchmark's large cell as ``baseline`` to reuse its
+    measurement.
     The heterogeneity ratchet holds the ``event_ratio`` near the mix's
     summed round rate (~1.5x for the default geometric mix) instead of
     the ``classes``-fold blowup per-plan wakeups would cost.
 
-    Also runs the mixed cell through the sharded fleet (SoA core, one
-    run per entry in ``shard_counts``) and reports ``bit_identical``:
+    Also runs the mixed cell through the sharded fleet (one run per
+    entry in ``shard_counts``) and reports ``bit_identical``:
     every shard count must produce the same ``FleetResult.digest()``.
     """
     if not shard_counts or shard_counts[0] != 1:
@@ -195,17 +187,16 @@ def measure_fleet_mix(vms=100_000, days=14.0, seed=11, classes=8,
     if echo is not None:
         echo(f"  mixed cell: {vms} VMs, {len(mix)} classes, "
              f"{days:.0f} days ...")
-    mixed = _drive_cell(vms, days, seed, mix=mix, soa=True)
+    mixed = _drive_cell(vms, days, seed, mix=mix)
     if echo is not None:
         echo(f"    {mixed['events']} events, {mixed['flush_cohorts']} "
-             f"plan-groups, {mixed['wall_s']:.2f}s")
+             f"cohorts, {mixed['wall_s']:.2f}s")
 
     zone_letters = "abcdefghijklmnopqrstuvwxyz"[:digest_markets]
     specs = [MarketSpec(type_name="m3.2xlarge",
                         zone_name=f"us-east-1{letter}")
              for letter in zone_letters]
-    config = ShardConfig(seed=seed, days=days, workload_mix=mix,
-                         soa_checkpoint_flush=True)
+    config = ShardConfig(seed=seed, days=days, workload_mix=mix)
     runs = []
     for shards in shard_counts:
         if echo is not None:

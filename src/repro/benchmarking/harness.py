@@ -46,14 +46,14 @@ portion, which is what must stay flat as the fleet grows to 1M VMs.
 Schema 7 adds the ``fleet_mix`` section: the heterogeneous fleet cell
 (``measure_fleet_mix``) — the same calm cell provisioned as a
 geometric mix of distinct workload classes, its steady flushes served
-by the struct-of-arrays cohort core.  ``check_bench_floors`` holds the
+by the group checkpoint scheduler.  ``check_bench_floors`` holds the
 mixed cell within :data:`FLEET_MIX_EVENT_RATIO_CEILING` times the
 homogeneous cell's kernel events and
 :data:`FLEET_MIX_WALL_RATIO_CEILING` times its steady wall clock (a
 per-plan wakeup loop costs the class count instead), requires at least
-as many plan-groups as classes, and requires
-``fleet_mix.bit_identical`` — the mixed cell under the SoA core must
-produce the same ``FleetResult.digest()`` at every shard count.
+as many cohorts as classes, and requires ``fleet_mix.bit_identical``
+— the mixed cell must produce the same ``FleetResult.digest()`` at
+every shard count.
 """
 
 import json
@@ -246,7 +246,7 @@ def run_bench(label="local", smoke=False, seed=11, workers=None, days=None,
         digest_markets=preset["shard_markets"],
         shard_counts=preset["shard_counts"], echo=say)
     say(f"  {fleet_mix['mixed']['events']} events over "
-        f"{fleet_mix['mixed']['flush_cohorts']} plan-groups (event ratio "
+        f"{fleet_mix['mixed']['flush_cohorts']} cohorts (event ratio "
         f"{fleet_mix['event_ratio']:.2f}, wall "
         f"x{fleet_mix['wall_ratio']:.2f}), bit-identical: "
         f"{fleet_mix['bit_identical']}")
@@ -500,7 +500,7 @@ def check_bench_floors(payload,
     if fleet_mix["mixed"]["flush_cohorts"] < fleet_mix["classes"]:
         problems.append(
             f"fleet mix cell formed only "
-            f"{fleet_mix['mixed']['flush_cohorts']} plan-groups for "
+            f"{fleet_mix['mixed']['flush_cohorts']} cohorts for "
             f"{fleet_mix['classes']} workload classes — the population "
             f"is not heterogeneous, so the ratchet proves nothing")
     if fleet_mix["event_ratio"] > mix_event_ceiling:
@@ -519,10 +519,10 @@ def check_bench_floors(payload,
             f"x{mix_wall_ceiling:.0f})")
     if fleet_mix["bit_identical"] is not True:
         problems.append(
-            f"mixed fleet cell under the SoA core is not bit-identical "
-            f"across shard counts ({fleet_mix['sharded']['shards']} "
-            f"shards) — the struct-of-arrays runner leaked host or "
-            f"shard identity into the simulation")
+            f"mixed fleet cell is not bit-identical across shard "
+            f"counts ({fleet_mix['sharded']['shards']} shards) — the "
+            f"checkpoint scheduler leaked host or shard identity into "
+            f"the simulation")
     if fleet_mix["single"]["events"] != fleet_mix["sharded"]["events"]:
         problems.append(
             f"mixed sharded cell event totals diverge: "

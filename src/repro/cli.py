@@ -339,7 +339,7 @@ def _cmd_bench(args):
     fleet_mix = payload["fleet_mix"]
     print(f"fleet mix ........ {fleet_mix['classes']} classes at "
           f"{fleet_mix['vms']} VMs: {fleet_mix['mixed']['events']} events "
-          f"over {fleet_mix['mixed']['flush_cohorts']} plan-groups (event "
+          f"over {fleet_mix['mixed']['flush_cohorts']} cohorts (event "
           f"ratio {fleet_mix['event_ratio']:.2f}, wall "
           f"x{fleet_mix['wall_ratio']:.2f}), bit-identical: "
           f"{fleet_mix['bit_identical']}")

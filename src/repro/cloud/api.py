@@ -224,10 +224,9 @@ class CloudApi:
                 return instance
             raise InvalidOperation(f"{instance.id} already terminated")
         if self.faults is not None:
-            self.faults.check("terminate_instance",
-                              type_name=instance.itype.name,
-                              zone_name=instance.zone.name,
-                              market_kind=instance.market.value)
+            # Capacity episodes are launch-side faults: no type/zone
+            # arguments, so a terminate never meets one.
+            self.faults.check("terminate_instance")
         self._close_billing(instance)
         if instance.is_spot:
             self.marketplace.market(instance.itype, instance.zone) \

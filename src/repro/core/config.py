@@ -93,14 +93,12 @@ class SpotCheckConfig:
         round and settle per-VM totals at finalize (fleet mode)
         instead of eagerly every round.
     soa_checkpoint_flush:
-        With ``steady_checkpoint_flush``, run the steady flushes
-        through the struct-of-arrays cohort core
-        (:class:`~repro.virt.migration.soa.SoaCheckpointScheduler`):
-        one vectorized runner per backup datapath batching every
-        plan-group's wakeups, sized for heterogeneous fleets where
-        distinct workload classes would otherwise each cost their own
-        cohort process.  Bit-identical to the per-cohort scheduler and
-        the per-VM streams.
+        Accepted and ignored.  It used to select a struct-of-arrays
+        checkpoint core that has been retired: the group checkpoint
+        scheduler now serves every fleet, homogeneous or mixed, and
+        the recorded fleet digests are unchanged.  The field stays
+        only because the benchmark workloads in ``perfbench/`` still
+        pass it; it goes with the next change to that benchmark.
     """
 
     allocation_policy: str = "1P-M"
@@ -130,10 +128,6 @@ class SpotCheckConfig:
     soa_checkpoint_flush: bool = False
 
     def __post_init__(self):
-        if self.soa_checkpoint_flush and not self.steady_checkpoint_flush:
-            raise ValueError(
-                "soa_checkpoint_flush batches the steady checkpoint "
-                "flushes and so requires steady_checkpoint_flush")
         if self.bid_policy not in ("on-demand", "multiple", "knee"):
             raise ValueError(f"unknown bid policy {self.bid_policy!r}")
         if self.bid_multiple < 1.0:

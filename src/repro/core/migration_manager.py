@@ -25,7 +25,6 @@ from repro.obs.trace import NULL_TRACER
 from repro.virt.hypervisor import HostVM
 from repro.virt.migration.checkpoint import CheckpointStream
 from repro.virt.migration.group import GroupCheckpointScheduler
-from repro.virt.migration.soa import SoaCheckpointScheduler
 from repro.virt.migration.live import PreCopyMigration
 from repro.virt.migration.restore import SKELETON_BYTES
 from repro.virt.vm import VMState
@@ -104,19 +103,13 @@ class MigrationManager:
 
         All VMs of one backup server share a scheduler; VMs with
         identical plans that enroll at the same instant share a cohort
-        (one wakeup per interval for the whole group).  With
-        ``soa_checkpoint_flush`` the struct-of-arrays core serves every
-        plan-group from one runner instead — the heterogeneous-fleet
-        path, bit-identical by contract.
+        (one wakeup per interval for the whole group).
         """
         if vm.id in self._flush_members:
             return
         scheduler = self._flush_schedulers.get(backup.id)
         if scheduler is None:
-            core = (SoaCheckpointScheduler
-                    if self.config.soa_checkpoint_flush
-                    else GroupCheckpointScheduler)
-            scheduler = core(
+            scheduler = GroupCheckpointScheduler(
                 self.env, backup.ingest,
                 defer_accounting=self.config.defer_flush_accounting)
             self._flush_schedulers[backup.id] = scheduler

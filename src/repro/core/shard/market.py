@@ -117,10 +117,6 @@ class ShardConfig:
     vms_per_backup: int = None
     steady_checkpoint_flush: bool = True
     defer_flush_accounting: bool = True
-    #: Serve steady flushes from the struct-of-arrays cohort core (one
-    #: vectorized runner per backup datapath) — the heterogeneous-fleet
-    #: path, bit-identical to the per-cohort scheduler.
-    soa_checkpoint_flush: bool = False
     #: Optional :class:`~repro.workloads.mix.FleetMix`: provision each
     #: market's fleet as that deterministic population of workload
     #: classes instead of the homogeneous default.  Applied per market
@@ -179,7 +175,6 @@ class MarketSimulation:
                             else max(n_vms, 1)),
             steady_checkpoint_flush=config.steady_checkpoint_flush,
             defer_flush_accounting=config.defer_flush_accounting,
-            soa_checkpoint_flush=config.soa_checkpoint_flush,
         )
         rate_bps = steady_rate_bps(env, controller_config)
         spec_backup, self.backup_shards = fleet_backup_spec(

@@ -49,9 +49,10 @@ def plan_workers(requested, pending_cells, cpu_count=None):
 
     Returns ``(workers, reason)`` where reason is one of
     ``serial-requested``, ``single-cpu``, ``small-batch``, or
-    ``parallel``.  The BENCH_baseline artifact showed a 20-cell grid
+    ``parallel``.  An early grid benchmark measured a 20-cell grid
     at speedup 0.995: executor startup swallowed the win on a host
-    where ``os.cpu_count()`` was 1.  Planning the worker count from
+    where ``os.cpu_count()`` was 1 (host-time measurements of the
+    grid now come from ``perfbench/``).  Planning the worker count from
     the pending-cell count and the host avoids that overhead and
     records why, so a flat speedup in a bench artifact is explained
     rather than mysterious.  Small batches stay serial by design.

@@ -20,7 +20,6 @@ from repro.backup.store import CheckpointStore
 from repro.cloud.instance_types import M3_CATALOG
 from repro.virt.migration.checkpoint import CheckpointConfig, CheckpointStream
 from repro.virt.migration.group import GroupCheckpointScheduler
-from repro.virt.migration.soa import SoaCheckpointScheduler
 from repro.virt.vm import NestedVM, VMState
 
 
@@ -40,8 +39,7 @@ class MicroTestbed:
     """
 
     def __init__(self, env, vm_count=1, workload_factory=None,
-                 backup_spec=None, checkpoint_config=None, grouped=False,
-                 scheduler=None):
+                 backup_spec=None, checkpoint_config=None, grouped=False):
         if workload_factory is None:
             # Deferred: repro.workloads imports repro.virt.memory at
             # module scope, so a top-level import here would close an
@@ -49,17 +47,10 @@ class MicroTestbed:
             from repro.workloads import TpcwWorkload
             workload_factory = TpcwWorkload
         self.env = env
-        #: Steady-state streaming mode: ``"per-vm"`` (one process per
-        #: stream), ``"group"`` (cohort scheduler), or ``"soa"``
-        #: (struct-of-arrays core) — the batched paths, which the
-        #: equivalence tests hold bit-identical to per-VM mode.
-        #: ``grouped=True`` is the legacy spelling of ``"group"``.
-        if scheduler is None:
-            scheduler = "group" if grouped else "per-vm"
-        if scheduler not in ("per-vm", "group", "soa"):
-            raise ValueError(f"unknown scheduler mode {scheduler!r}")
-        self.scheduler = scheduler
-        self.grouped = scheduler != "per-vm"
+        #: Steady-state streaming mode: one process per stream, or the
+        #: group (cohort) scheduler, which the equivalence tests hold
+        #: bit-identical to per-VM mode.
+        self.grouped = grouped
         self._group = None
         self.server = BackupServer(env, backup_spec)
         self.server.store = CheckpointStore(env)
@@ -89,9 +80,7 @@ class MicroTestbed:
     def start_streams(self):
         """Begin steady checkpointing (per-VM processes or one cohort)."""
         if self.grouped:
-            core = (SoaCheckpointScheduler if self.scheduler == "soa"
-                    else GroupCheckpointScheduler)
-            self._group = core(self.env, self.ingest)
+            self._group = GroupCheckpointScheduler(self.env, self.ingest)
             for vm in self.vms:
                 def _account(flushed, vm_id=vm.id):
                     self.flushed_bytes[vm_id] += flushed

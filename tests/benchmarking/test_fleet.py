@@ -72,16 +72,6 @@ class TestFleetMix:
         assert mixed["flush_flows"] == homogeneous["flush_flows"]
         assert mixed["flush_cohorts"] == 1
 
-    def test_soa_core_matches_group_core_flows(self):
-        """Same fleet, same mix: the SoA core must arm exactly the
-        flows the per-cohort core arms (the bit-identity contract at
-        the flow level; stream-level identity lives in tests/virt)."""
-        mix = default_fleet_mix(classes=4)
-        group = _drive_cell(40, 0.25, seed=11, mix=mix, soa=False)
-        soa = _drive_cell(40, 0.25, seed=11, mix=mix, soa=True)
-        assert soa["flush_flows"] == group["flush_flows"]
-        assert soa["flush_cohorts"] == group["flush_cohorts"] == 4
-
     def test_mix_bench_holds_the_ratchet(self):
         result = measure_fleet_mix(vms=200, days=0.25, classes=8,
                                    digest_vms=40, digest_markets=4,

@@ -261,7 +261,8 @@ class TestFloors:
     def test_mix_bit_identity_required(self):
         payload = _minimal_payload()
         payload["fleet_mix"]["bit_identical"] = False
-        with pytest.raises(ValueError, match="struct-of-arrays"):
+        with pytest.raises(ValueError,
+                           match="mixed fleet cell is not bit-identical"):
             check_bench_floors(payload, kernel_floor=50.0, market_floor=50.0)
 
     def test_mix_event_totals_must_match(self):

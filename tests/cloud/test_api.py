@@ -7,6 +7,7 @@ from repro.cloud.errors import BidTooLow, CapacityError, InvalidOperation
 from repro.cloud.instance_types import M3_CATALOG
 from repro.cloud.instances import InstanceState, Market
 from repro.cloud.zones import default_region
+from repro.faults import CapacityEpisode, FaultInjector, FaultPlan
 
 from tests.conftest import flat_trace, run_process, step_trace
 
@@ -143,6 +144,25 @@ class TestTerminate:
         assert record.end == pytest.approx(launch_time + 3600.0)
         assert record.cost == pytest.approx(0.07)
         assert instance.state is InstanceState.TERMINATED
+
+    def test_terminate_ignores_capacity_episode(self, env, region, zone):
+        # The episode opens after the launch call (t=0) and covers
+        # every later instant, so only the terminate can meet it.
+        plan = FaultPlan(capacity_episodes=(
+            CapacityEpisode(MEDIUM.name, zone.name, 1000.0, 1e9,
+                            market="on-demand"),))
+        injector = FaultInjector(env, plan)
+        cloud = CloudApi(env, region, M3_CATALOG, faults=injector)
+
+        def flow():
+            instance = yield cloud.run_instance(
+                MEDIUM, zone, Market.ON_DEMAND)
+            yield env.timeout(1000.0)
+            yield cloud.terminate_instance(instance)
+            return instance
+        instance = run_process(env, flow())
+        assert instance.state is InstanceState.TERMINATED
+        assert "capacity" not in injector.counts
 
     def test_double_terminate_rejected(self, env, cloud, zone):
         def flow():

@@ -1,10 +1,12 @@
-"""SoA cohort core: struct-of-arrays scheduling vs per-VM streams.
+"""Heterogeneous-fleet scenarios for the batched checkpoint engine.
 
-The heterogeneous-fleet contract: the struct-of-arrays scheduler must
-reproduce the per-VM steady-state streams bit-for-bit — same wake
-times, same credited flush totals, including churn, parked members,
-plan divergence, and defer-mode settlement — while serving every
-plan-group from one vectorized runner.
+These scenarios were first written for the struct-of-arrays (SoA)
+cohort core.  That core is retired and the group scheduler is the one
+batched steady-flush engine, so the same scenarios now hold
+:class:`GroupCheckpointScheduler` to the per-VM streams: same wake
+times and credited flush totals under churn, parked members, mixed
+plans on one scheduler, plan divergence and defer-mode settlement.
+The module and test names are kept so their history stays traceable.
 """
 
 import pytest
@@ -13,7 +15,7 @@ from repro.backup.server import BackupServer
 from repro.cloud.instance_types import M3_CATALOG
 from repro.sim.kernel import Environment
 from repro.virt.migration.checkpoint import CheckpointConfig, CheckpointStream
-from repro.virt.migration.soa import SoaCheckpointScheduler
+from repro.virt.migration.group import GroupCheckpointScheduler
 from repro.virt.testbed import MicroTestbed
 from repro.virt.vm import NestedVM
 from repro.workloads import SpecJbbWorkload, TpcwWorkload
@@ -21,13 +23,13 @@ from repro.workloads import SpecJbbWorkload, TpcwWorkload
 MEDIUM = M3_CATALOG.get("m3.medium")
 
 
-def run_testbed(vm_count, scheduler, duration_s=1800.0,
+def run_testbed(vm_count, grouped, duration_s=1800.0,
                 workload=TpcwWorkload, checkpoint_config=None):
     env = Environment(seed=3)
     testbed = MicroTestbed(env, vm_count=vm_count,
                            workload_factory=workload,
                            checkpoint_config=checkpoint_config,
-                           scheduler=scheduler)
+                           grouped=grouped)
     result = testbed.run_steady(duration_s)
     return env, testbed, result
 
@@ -41,51 +43,44 @@ def per_vm_rates(testbed, result):
 class TestEquivalence:
     @pytest.mark.parametrize("vm_count", [1, 10, 40])
     def test_bit_identical_to_per_vm_streams(self, vm_count):
-        _, bed_a, per_vm = run_testbed(vm_count, scheduler="per-vm")
-        _, bed_b, soa = run_testbed(vm_count, scheduler="soa")
-        assert per_vm_rates(bed_b, soa) == per_vm_rates(bed_a, per_vm)
-        assert soa["aggregate_bps"] == per_vm["aggregate_bps"]
-
-    @pytest.mark.parametrize("vm_count", [10, 40])
-    def test_bit_identical_to_group_scheduler(self, vm_count):
-        _, bed_a, grouped = run_testbed(vm_count, scheduler="group")
-        _, bed_b, soa = run_testbed(vm_count, scheduler="soa")
-        assert per_vm_rates(bed_b, soa) == per_vm_rates(bed_a, grouped)
+        _, bed_a, per_vm = run_testbed(vm_count, grouped=False)
+        _, bed_b, batched = run_testbed(vm_count, grouped=True)
+        assert per_vm_rates(bed_b, batched) == per_vm_rates(bed_a, per_vm)
+        assert batched["aggregate_bps"] == per_vm["aggregate_bps"]
 
     @pytest.mark.parametrize("workload", [TpcwWorkload, SpecJbbWorkload])
     def test_bit_identical_across_workloads(self, workload):
-        _, bed_a, per_vm = run_testbed(10, scheduler="per-vm",
-                                       workload=workload)
-        _, bed_b, soa = run_testbed(10, scheduler="soa", workload=workload)
-        assert per_vm_rates(bed_b, soa) == per_vm_rates(bed_a, per_vm)
+        _, bed_a, per_vm = run_testbed(10, grouped=False, workload=workload)
+        _, bed_b, batched = run_testbed(10, grouped=True, workload=workload)
+        assert per_vm_rates(bed_b, batched) == per_vm_rates(bed_a, per_vm)
 
     def test_bit_identical_under_tight_throttle(self):
         config = CheckpointConfig(stream_bandwidth_bps=6e6,
                                   commit_bandwidth_bps=1.5e6)
-        _, bed_a, per_vm = run_testbed(10, scheduler="per-vm",
+        _, bed_a, per_vm = run_testbed(10, grouped=False,
                                        checkpoint_config=config)
-        _, bed_b, soa = run_testbed(10, scheduler="soa",
-                                    checkpoint_config=config)
-        assert per_vm_rates(bed_b, soa) == per_vm_rates(bed_a, per_vm)
+        _, bed_b, batched = run_testbed(10, grouped=True,
+                                        checkpoint_config=config)
+        assert per_vm_rates(bed_b, batched) == per_vm_rates(bed_a, per_vm)
 
     def test_store_commits_match_per_vm_mode(self):
-        _, per_vm_bed, _ = run_testbed(5, scheduler="per-vm")
-        _, soa_bed, _ = run_testbed(5, scheduler="soa")
-        for vm_a, vm_b in zip(per_vm_bed.vms, soa_bed.vms):
+        _, per_vm_bed, _ = run_testbed(5, grouped=False)
+        _, batched_bed, _ = run_testbed(5, grouped=True)
+        for vm_a, vm_b in zip(per_vm_bed.vms, batched_bed.vms):
             expected = per_vm_bed.server.store.image(vm_a.id)
-            actual = soa_bed.server.store.image(vm_b.id)
+            actual = batched_bed.server.store.image(vm_b.id)
             assert actual.commits == expected.commits
 
     def test_batching_elides_kernel_events(self):
-        env_per_vm, _, _ = run_testbed(40, scheduler="per-vm")
-        env_soa, _, _ = run_testbed(40, scheduler="soa")
-        assert env_soa.events_processed * 5 < env_per_vm.events_processed
+        env_per_vm, _, _ = run_testbed(40, grouped=False)
+        env_batched, _, _ = run_testbed(40, grouped=True)
+        assert env_batched.events_processed * 5 < env_per_vm.events_processed
 
 
 def make_scheduler(env, defer=False):
     server = BackupServer(env)
-    return SoaCheckpointScheduler(env, server.ingest,
-                                  defer_accounting=defer)
+    return GroupCheckpointScheduler(env, server.ingest,
+                                    defer_accounting=defer)
 
 
 def make_stream(env, workload=TpcwWorkload):
@@ -170,9 +165,10 @@ def run_per_vm(env, memories, duration_s, drain_s=30.0):
     return flushed
 
 
-def run_soa(env, memories, duration_s, drain_s=30.0):
+def run_batched(env, memories, duration_s, drain_s=30.0):
+    """The same memory doubles enrolled in one group scheduler."""
     server = BackupServer(env)
-    sched = SoaCheckpointScheduler(env, server.ingest)
+    sched = GroupCheckpointScheduler(env, server.ingest)
     for index, memory in enumerate(memories):
         stream = CheckpointStream(memory, CheckpointConfig())
         sched.join(f"vm{index}", stream)
@@ -183,7 +179,7 @@ def run_soa(env, memories, duration_s, drain_s=30.0):
 
 
 class TestMixedPlans:
-    def _memories(self, env):
+    def _memories(self):
         # Two plan classes enrolled at the same instant: aggregated
         # caps stay under the ingest capacity, so equivalence is exact
         # even when the classes' flows overlap (cap-bound individually).
@@ -193,46 +189,29 @@ class TestMixedPlans:
                 _RatedMemory(rate_bps=1.5e6, interval_s=30.0)]
 
     def test_mixed_plans_match_per_vm(self):
-        env_a = Environment(seed=9)
-        per_vm = run_per_vm(env_a, self._memories(env_a), 310.0)
-        env_b = Environment(seed=9)
-        sched, soa = run_soa(env_b, self._memories(env_b), 310.0)
-        assert soa == per_vm
-        # One group per plan class, not per member.
-        assert sched.groups_created == 2
+        per_vm = run_per_vm(Environment(seed=9), self._memories(), 310.0)
+        sched, batched = run_batched(Environment(seed=9), self._memories(),
+                                     310.0)
+        assert batched == per_vm
+        # One cohort per plan class, not per member.
+        assert sched.cohorts_created == 2
         assert sched.stats()["flows_issued"] > 0
-
-    def test_one_wakeup_flushes_all_due_groups(self):
-        env = Environment(seed=9)
-        server = BackupServer(env)
-        sched = SoaCheckpointScheduler(env, server.ingest)
-        # Same interval, different dirty volume: distinct plans whose
-        # due times always coincide.
-        for index, rate in enumerate((1e6, 2e6)):
-            memory = _RatedMemory(rate_bps=rate, interval_s=20.0)
-            sched.join(f"vm{index}", CheckpointStream(memory,
-                                                      CheckpointConfig()))
-        assert sched.groups_created == 2
-        env.run(until=20.0 + 1.0)
-        # Both groups fired on the single shared wakeup at t=20.
-        assert sched.flows_issued == 2
 
     def test_divergence_regroups_without_new_processes(self):
         env_a = Environment(seed=9)
         per_vm = run_per_vm(
             env_a, [_SteppedMemory(env_a) for _ in range(3)], 310.0)
         env_b = Environment(seed=9)
-        sched, soa = run_soa(
+        sched, batched = run_batched(
             env_b, [_SteppedMemory(env_b) for _ in range(3)], 310.0)
-        assert soa == per_vm
+        assert batched == per_vm
         # All three members diverged at the t=100 round boundary and
-        # were regrouped into one fresh plan-group (same instant, same
-        # new plan).
+        # were regrouped into one fresh cohort (same instant, same new
+        # plan): one new cohort process, not one per member.
         assert sched.splits == 3
-        assert sched.groups_created == 2
-        members = [f"vm{index}" for index in range(3)]
-        gids = {sched.group_of(member) for member in members}
-        assert len(gids) == 1
+        assert sched.cohorts_created == 2
+        cohorts = {id(sched.cohort_of(f"vm{index}")) for index in range(3)}
+        assert len(cohorts) == 1
 
     def test_park_unpark_matches_per_vm(self):
         def doubles(env):
@@ -242,11 +221,11 @@ class TestMixedPlans:
         env_a = Environment(seed=9)
         per_vm = run_per_vm(env_a, doubles(env_a), 9010.0)
         env_b = Environment(seed=9)
-        sched, soa = run_soa(env_b, doubles(env_b), 9010.0)
+        _, batched = run_batched(env_b, doubles(env_b), 9010.0)
         # Rounds before the park, none while parked (hourly rechecks
         # only), rounds again after the 4000 s unpark is noticed.
-        assert soa == per_vm
-        assert all(total > 0 for total in soa.values())
+        assert batched == per_vm
+        assert all(total > 0 for total in batched.values())
 
 
 class TestChurn:
@@ -258,8 +237,8 @@ class TestChurn:
         sched.join("a", stream_a)
         env.run(until=1.0)  # mid-interval
         sched.join("b", stream_b)
-        assert sched.group_of("b") != sched.group_of("a")
-        assert sched.groups_created == 2
+        assert sched.cohort_of("b") is not sched.cohort_of("a")
+        assert sched.cohorts_created == 2
 
     def test_same_instant_same_plan_shares_group(self):
         env = Environment(seed=5)
@@ -268,10 +247,10 @@ class TestChurn:
         _, stream_b = make_stream(env)
         sched.join("a", stream_a)
         sched.join("b", stream_b)
-        assert sched.group_of("a") == sched.group_of("b")
-        assert sched.groups_created == 1
+        assert sched.cohort_of("a") is sched.cohort_of("b")
+        assert sched.cohorts_created == 1
         assert sched.member_count() == 2
-        assert sched.member_plan("a") == sched.member_plan("b")
+        assert sched.cohort_of("a").plan == sched.cohort_of("b").plan
 
     def test_duplicate_join_rejected(self):
         env = Environment(seed=5)
@@ -286,9 +265,9 @@ class TestChurn:
         sched = make_scheduler(env)
         _, stream_a = make_stream(env)
         _, stream_b = make_stream(env)
-        gid = sched.join("a", stream_a)
+        cohort = sched.join("a", stream_a)
         sched.join("b", stream_b)
-        interval, dirty, _cap = sched.group_plan(gid)
+        interval, dirty, _cap = cohort.plan
         env.run(until=2.5 * interval)
         sched.leave("a")
         env.run(until=6.5 * interval)
@@ -297,71 +276,72 @@ class TestChurn:
         assert sched.flushed["b"] == pytest.approx(6 * dirty)
 
     def test_churned_equals_per_vm_with_matching_lifetimes(self):
-        """A member that leaves matches a per-VM stream stopped then."""
-        def drive(env, soa):
-            server = BackupServer(env)
-            memory = _RatedMemory(rate_bps=2e6, interval_s=20.0)
-            stream = CheckpointStream(memory, CheckpointConfig())
-            if soa:
-                sched = SoaCheckpointScheduler(env, server.ingest)
-                sched.join("a", stream)
-                env.run(until=130.0)
-                sched.leave("a")
-                # Re-enrollment mid-run (fresh group at the new time).
-                memory_b = _RatedMemory(rate_bps=2e6, interval_s=20.0)
-                sched.join("b", CheckpointStream(memory_b,
-                                                 CheckpointConfig()))
-                env.run(until=310.0)
-                env.run(until=env.process(sched.settle()))
-                return dict(sched.flushed)
-            flushed = {}
-            stop_a = env.event()
+        """A member that leaves matches a per-VM stream stopped then,
+        and a member enrolled mid-run matches a stream started then."""
+        def stream():
+            return CheckpointStream(
+                _RatedMemory(rate_bps=2e6, interval_s=20.0),
+                CheckpointConfig())
 
-            def _acc(nbytes, member="a"):
-                flushed[member] = flushed.get(member, 0.0) + nbytes
+        env = Environment(seed=5)
+        server = BackupServer(env)
+        per_vm = {"a": 0.0, "b": 0.0}
+        stops = {"a": env.event(), "b": env.event()}
 
-            stream.run(env, server.ingest, stop_a, on_flush=_acc)
-            env.run(until=130.0)
-            stop_a.succeed()
-            memory_b = _RatedMemory(rate_bps=2e6, interval_s=20.0)
-            stream_b = CheckpointStream(memory_b, CheckpointConfig())
-            stop_b = env.event()
+        def start(member):
+            def _account(nbytes):
+                per_vm[member] += nbytes
+            stream().run(env, server.ingest, stops[member],
+                         on_flush=_account)
 
-            def _acc_b(nbytes, member="b"):
-                flushed[member] = flushed.get(member, 0.0) + nbytes
+        start("a")
+        env.run(until=130.0)
+        stops["a"].succeed()
+        start("b")
+        env.run(until=310.0)
+        stops["b"].succeed()
+        env.run(until=340.0)
 
-            stream_b.run(env, server.ingest, stop_b, on_flush=_acc_b)
-            env.run(until=310.0)
-            stop_b.succeed()
-            env.run(until=340.0)
-            return flushed
-
-        per_vm = drive(Environment(seed=5), soa=False)
-        soa = drive(Environment(seed=5), soa=True)
-        assert soa == per_vm
+        env = Environment(seed=5)
+        server = BackupServer(env)
+        sched = GroupCheckpointScheduler(env, server.ingest)
+        sched.join("a", stream())
+        env.run(until=130.0)
+        sched.leave("a")
+        # Re-enrollment mid-run (fresh cohort at the new time).
+        sched.join("b", stream())
+        env.run(until=310.0)
+        env.run(until=env.process(sched.settle()))
+        assert sched.flushed == per_vm
+        assert sched.cohorts_created == 2
 
     def test_dead_group_is_elided(self):
         env = Environment(seed=5)
         sched = make_scheduler(env)
         _, stream = make_stream(env)
-        sched.join("a", stream)
+        cohort = sched.join("a", stream)
         env.run(until=1.0)
         sched.leave("a")
-        assert sched.stats()["cohorts_active"] == 0
+        # The emptied cohort is stopped at once; its process exits on
+        # the next kernel step, long before its next round is due.
+        assert cohort.stop.triggered
         assert sched.member_count() == 0
+        env.run(until=2.0)
+        assert 2.0 < cohort.plan[0]
+        assert sched.stats()["cohorts_active"] == 0
 
     def test_in_flight_never_retains_dead_processes(self):
         env = Environment(seed=5)
         sched = make_scheduler(env)
         _, stream_a = make_stream(env)
         _, stream_b = make_stream(env)
-        gid = sched.join("a", stream_a)
+        cohort = sched.join("a", stream_a)
         sched.join("b", stream_b)
-        interval = sched.group_plan(gid)[0]
+        interval = cohort.plan[0]
         env.run(until=12.5 * interval)
-        dead = [p for p in sched._in_flight if not p.is_alive]
+        dead = [p for p in cohort.in_flight if not p.is_alive]
         assert len(dead) <= 1
-        assert len(sched._in_flight) < 5
+        assert len(cohort.in_flight) < 5
 
 
 class TestAccounting:
@@ -373,7 +353,7 @@ class TestAccounting:
             for index in range(5):
                 _, stream = make_stream(env)
                 sched.join(f"vm{index}", stream)
-            interval = sched.group_plan(sched.group_of("vm0"))[0]
+            interval = sched.cohort_of("vm0").plan[0]
             env.run(until=3.5 * interval)
             sched.leave("vm4")
             env.run(until=10.5 * interval)
@@ -381,44 +361,13 @@ class TestAccounting:
             results[defer] = dict(sched.flushed)
         assert results[True] == results[False]
 
-    def test_defer_matches_group_scheduler_settlement(self):
-        from repro.virt.migration.group import GroupCheckpointScheduler
-
-        results = {}
-        for core in (GroupCheckpointScheduler, SoaCheckpointScheduler):
-            env = Environment(seed=7)
-            server = BackupServer(env)
-            sched = core(env, server.ingest, defer_accounting=True)
-            for index in range(5):
-                _, stream = make_stream(env)
-                sched.join(f"vm{index}", stream)
-            env.run(until=400.0)
-            sched.leave("vm2")
-            env.run(until=700.0)
-            env.run(until=env.process(sched.settle()))
-            results[core.__name__] = dict(sched.flushed)
-        assert results["SoaCheckpointScheduler"] == \
-            results["GroupCheckpointScheduler"]
-
     def test_settle_now_credits_only_completed_rounds(self):
         env = Environment(seed=7)
         sched = make_scheduler(env, defer=True)
         _, stream = make_stream(env)
-        gid = sched.join("a", stream)
-        interval, dirty, _cap = sched.group_plan(gid)
+        cohort = sched.join("a", stream)
+        interval, dirty, _cap = cohort.plan
         env.run(until=4.5 * interval)
         flushed = sched.settle_now()
         assert flushed["a"] == pytest.approx(4 * dirty)
         assert sched.settle_now() is flushed
-
-    def test_stats_shape_matches_group_scheduler(self):
-        env = Environment(seed=7)
-        sched = make_scheduler(env)
-        _, stream = make_stream(env)
-        sched.join("a", stream)
-        stats = sched.stats()
-        assert set(stats) == {"cohorts_created", "cohorts_active",
-                              "members", "flows_issued", "splits"}
-        assert stats["cohorts_created"] == 1
-        assert stats["cohorts_active"] == 1
-        assert stats["members"] == 1
