@@ -9,6 +9,7 @@ clipped distribution's *mean* matches the observed mean.  This keeps all
 four reported statistics simultaneously credible.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,9 @@ EC2_MIGRATION_DOWNTIME_OPS = (
     "detach_network_interface",
 )
 
+#: Points of the log-space grid on which the clipped mean is integrated.
+MEAN_GRID_POINTS = 4096
+
 
 class ClippedLognormal:
     """A lognormal restricted to [min, max], fit to median and mean.
@@ -70,13 +74,17 @@ class ClippedLognormal:
     operations.
     """
 
-    def __init__(self, spec, _grid=4096):
+    def __init__(self, spec):
         self.spec = spec
-        self._grid = _grid
         if spec.max == spec.min:
             self._mu = np.log(spec.median)
             self._sigma = 0.0
         else:
+            # The integration grid depends on the spec alone, so all
+            # ~1,300 mean evaluations of one calibration reuse it.
+            self._z = np.linspace(np.log(spec.min), np.log(spec.max),
+                                  MEAN_GRID_POINTS)
+            self._exp_z = np.exp(self._z)
             self._calibrate()
         self._q_low, self._q_high = self._quantile_band(
             self._mu, self._sigma)
@@ -94,13 +102,11 @@ class ClippedLognormal:
         # Numerical mean of the lognormal restricted to [min, max].
         if sigma <= 0:
             return float(np.exp(mu))
-        lo, hi = np.log(self.spec.min), np.log(self.spec.max)
-        z = np.linspace(lo, hi, self._grid)
-        pdf = np.exp(-0.5 * ((z - mu) / sigma) ** 2)
+        pdf = np.exp(-0.5 * ((self._z - mu) / sigma) ** 2)
         weight = pdf.sum()
         if weight == 0:
             return float(np.exp(mu))
-        return float((np.exp(z) * pdf).sum() / weight)
+        return float((self._exp_z * pdf).sum() / weight)
 
     def _clipped_median(self, mu, sigma):
         from scipy.special import erfinv
@@ -139,7 +145,9 @@ class ClippedLognormal:
         """Draw latencies. ``rng`` is a numpy Generator."""
         if self._sigma == 0.0:
             if size is None:
-                return self.spec.median
+                # float(): an int-valued spec equals its float twin, so
+                # both share one memoized sampler (see fit_latency_sampler).
+                return float(self.spec.median)
             return np.full(size, float(self.spec.median))
         u = rng.uniform(self._q_low, self._q_high, size=size)
         # Inverse CDF of the lognormal at quantile u.
@@ -215,12 +223,18 @@ class SplitPowerLatency:
         return float(self.spec.median)
 
 
+@functools.lru_cache(maxsize=256)
 def fit_latency_sampler(spec):
     """Pick the sampler for one operation's statistics.
 
     A clipped lognormal when it can honour both the median and the
     mean; the split-power family otherwise (degenerate sigma, or a
     spread/skew a conditioned lognormal cannot reach).
+
+    Memoized per process: the fit is a pure function of the frozen
+    ``spec``, and samplers keep no draw state (``sample`` takes the
+    caller's ``rng``), so every :class:`OperationLatencyModel` shares
+    one fitted sampler per spec.
     """
     if spec.max == spec.min:
         return ClippedLognormal(spec)

@@ -71,7 +71,13 @@ _ARCHIVES = OrderedDict()
 
 
 def clear_caches():
-    """Drop every in-memory cell summary and trace archive."""
+    """Drop every in-memory cell summary and trace archive.
+
+    The Table 1 latency fits (``fit_latency_sampler``) and the
+    dirty-budget interval solve (``MemoryModel.interval_for_dirty_bytes``)
+    are memoized too, but are deliberately left alone: they are pure
+    functions of frozen inputs, so their entries cannot go stale.
+    """
     _CACHE.clear()
     _ARCHIVES.clear()
 

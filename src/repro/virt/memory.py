@@ -14,6 +14,7 @@ of memory.  This produces the two regimes that matter to the paper:
   pre-copy converges at all.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -108,27 +109,14 @@ class MemoryModel:
         silent floor would let planners pretend the time bound holds.
         Returns ``inf`` when dirtying saturates below the budget (any
         interval fits, so checkpoints are only needed for liveness).
+
+        Memoized per ``(model, budget)`` pair: both are frozen, so each
+        process solves a pair once.  An infeasible budget raises on
+        every call, because ``lru_cache`` never stores an exception.
         """
         if budget_bytes <= 0:
             raise ValueError("budget must be positive")
-        if self.write_rate_pages == 0:
-            return float("inf")
-        if self.dirty_bytes(1e-3) > budget_bytes:
-            raise DirtyBudgetInfeasible(
-                f"{self.dirty_bytes(1e-3):.0f} dirty bytes in 1 ms "
-                f"exceed the {budget_bytes:.0f}-byte commit budget")
-        lo, hi = 1e-3, 1.0
-        while self.dirty_bytes(hi) < budget_bytes and hi < 1e7:
-            hi *= 2.0
-        if hi >= 1e7:
-            return float("inf")
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if self.dirty_bytes(mid) < budget_bytes:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return _bisect_interval(self, budget_bytes)
 
     def scaled(self, write_rate_factor):
         """The same memory with the write rate scaled by ``factor``."""
@@ -138,3 +126,31 @@ class MemoryModel:
             working_set_fraction=self.working_set_fraction,
             cold_write_fraction=self.cold_write_fraction,
         )
+
+
+@functools.lru_cache(maxsize=4096)
+def _bisect_interval(memory, budget_bytes):
+    """The uncached solve behind :meth:`MemoryModel.interval_for_dirty_bytes`.
+
+    A closed-form Newton step would be cheaper on a miss but changes the
+    interval's last bits, and with them every checkpoint time; the
+    bisection keeps results bit-identical, and the memo makes it rare.
+    """
+    if memory.write_rate_pages == 0:
+        return float("inf")
+    if memory.dirty_bytes(1e-3) > budget_bytes:
+        raise DirtyBudgetInfeasible(
+            f"{memory.dirty_bytes(1e-3):.0f} dirty bytes in 1 ms "
+            f"exceed the {budget_bytes:.0f}-byte commit budget")
+    lo, hi = 1e-3, 1.0
+    while memory.dirty_bytes(hi) < budget_bytes and hi < 1e7:
+        hi *= 2.0
+    if hi >= 1e7:
+        return float("inf")
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if memory.dirty_bytes(mid) < budget_bytes:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

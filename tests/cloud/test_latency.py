@@ -106,3 +106,31 @@ class TestOperationLatencyModel:
     def test_operations_cover_table1(self, rng):
         assert set(OperationLatencyModel(rng).operations()) == \
             set(TABLE1_SPECS)
+
+
+class TestFitMemo:
+    def test_equal_specs_share_one_fit(self):
+        spec = TABLE1_SPECS["attach_volume"]
+        twin = LatencySpec(spec.name, spec.median, spec.mean, spec.max,
+                           spec.min)
+        assert fit_latency_sampler(spec) is fit_latency_sampler(spec)
+        assert fit_latency_sampler(twin) is fit_latency_sampler(spec)
+
+    def test_shared_samplers_keep_draws_per_model(self):
+        # Samplers are shared across models, so draws must depend only
+        # on each model's own rng, however calls interleave.
+        ops = sorted(TABLE1_SPECS)
+
+        def model(seed):
+            return OperationLatencyModel(RngRegistry(seed).stream("lat"))
+
+        alone = model(3)
+        expected = [alone.sample(op) for op in ops for _ in range(5)]
+        twin, other = model(3), model(9)
+        drawn = []
+        for op in ops:
+            for _ in range(5):
+                other.sample(op, size=2)
+                drawn.append(twin.sample(op))
+                other.sample(ops[-1])
+        assert drawn == expected

@@ -4,8 +4,12 @@ The full-scale runs live in ``benchmarks/``; these tests check the
 harness machinery and the qualitative shapes on reduced spans.
 """
 
+import functools
+from collections import Counter
+
 import pytest
 
+from repro.cloud import latency
 from repro.experiments import fig1, fig6, fig7, fig8, fig9, table1
 from repro.experiments.reporting import format_series, format_table
 from repro.experiments.scenario import (
@@ -15,6 +19,7 @@ from repro.experiments.scenario import (
     ScenarioConfig,
     mechanism_config,
 )
+from repro.virt import memory
 
 DAY = 24 * 3600.0
 
@@ -136,6 +141,42 @@ class TestScenario:
         b = PolicySimulation(
             ScenarioConfig(days=3.0, vms=2, seed=7), archive=archive).run()
         assert a["cost_per_vm_hour"] == pytest.approx(b["cost_per_vm_hour"])
+
+    def test_second_cell_recalibrates_nothing(self, monkeypatch):
+        # The Table 1 fits and the dirty-budget intervals are per-process
+        # memos, so a second cell of the same shape calibrates no
+        # lognormal and bisects no interval.  Fresh memos over counting
+        # solvers make the first cell do (and count) the real work.
+        calls = Counter()
+        calibrate = latency.ClippedLognormal._calibrate
+        bisect = memory._bisect_interval.__wrapped__
+
+        def counting_calibrate(sampler):
+            calls["calibrations"] += 1
+            calibrate(sampler)
+
+        def counting_bisect(model, budget_bytes):
+            calls["bisections"] += 1
+            return bisect(model, budget_bytes)
+
+        monkeypatch.setattr(latency.ClippedLognormal, "_calibrate",
+                            counting_calibrate)
+        monkeypatch.setattr(latency, "fit_latency_sampler",
+                            functools.lru_cache(
+                                latency.fit_latency_sampler.__wrapped__))
+        monkeypatch.setattr(memory, "_bisect_interval",
+                            functools.lru_cache(counting_bisect))
+        archive = PolicySimulation.build_archive(7, 3 * DAY)
+
+        def cell_calls(policy):
+            calls.clear()
+            PolicySimulation(ScenarioConfig(policy=policy, days=3.0, vms=2,
+                                            seed=7), archive=archive).run()
+            return dict(calls)
+
+        first = cell_calls("1P-M")
+        assert first["calibrations"] > 0 and first["bisections"] > 0
+        assert cell_calls("4P-ED") == {}
 
 
 class TestReporting:

@@ -1,8 +1,9 @@
 """Tests for the memory-dirtying model, including property tests."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.virt import memory as memory_module
 from repro.virt.memory import DirtyBudgetInfeasible, MemoryModel, PAGE_SIZE
 
 GiB = 1024 ** 3
@@ -107,9 +108,12 @@ class TestIntervalInversion:
         # Even a 1 ms interval dirties more than the budget: there is
         # no interval to return, and a silent floor would let planners
         # pretend the commit bound holds.
+        # The interval solve is memoized, so the second call must raise
+        # too rather than find a cached answer.
         m = model(write_rate_pages=1e6)
-        with pytest.raises(DirtyBudgetInfeasible):
-            m.interval_for_dirty_bytes(1.0)
+        for _ in range(2):
+            with pytest.raises(DirtyBudgetInfeasible):
+                m.interval_for_dirty_bytes(1.0)
 
     def test_unreachable_budget_returns_inf(self):
         # Dirtying saturates (working set + cold region) far below the
@@ -135,6 +139,41 @@ class TestIntervalInversion:
             # Saturated below the budget: any interval fits.
             return
         assert memory.dirty_bytes(interval) <= budget * 1.02 + PAGE_SIZE
+
+
+class TestIntervalMemo:
+    def test_budget_validated_before_lookup(self, monkeypatch):
+        def no_lookup(memory, budget_bytes):
+            raise AssertionError("non-positive budget reached the memo")
+
+        monkeypatch.setattr(memory_module, "_bisect_interval", no_lookup)
+        for budget in (0, -1.0):
+            with pytest.raises(ValueError, match="budget must be positive"):
+                model().interval_for_dirty_bytes(budget)
+
+    @given(memory_models,
+           st.one_of(st.floats(min_value=1.0, max_value=PAGE_SIZE),
+                     st.floats(min_value=PAGE_SIZE, max_value=1e9),
+                     st.floats(min_value=1e9, max_value=1e14)))
+    # One pinned example per branch: finite, idle, saturated, infeasible.
+    @example(model(write_rate_pages=800.0), 50e6)
+    @example(model(write_rate_pages=0.0), 1e6)
+    @example(model(write_rate_pages=10.0, total_bytes=PAGE_SIZE * 64), 1e12)
+    @example(model(write_rate_pages=1e6), 1.0)
+    @settings(max_examples=100, deadline=None)
+    def test_memo_equals_uncached_solver(self, memory, budget):
+        # The memo must be invisible: cold and warm lookups return the
+        # uncached bisection's float bit for bit, or raise as it does.
+        uncached = memory_module._bisect_interval.__wrapped__
+        try:
+            expected = uncached(memory, budget).hex()
+        except DirtyBudgetInfeasible:
+            for _ in range(2):
+                with pytest.raises(DirtyBudgetInfeasible):
+                    memory.interval_for_dirty_bytes(budget)
+            return
+        for _ in range(2):
+            assert memory.interval_for_dirty_bytes(budget).hex() == expected
 
 
 class TestScaled:
