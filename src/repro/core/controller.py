@@ -1055,7 +1055,7 @@ class SpotCheckController:
             self._spares_wakeup = None
 
     def spares_drive_stats(self):
-        """Replenisher wakeup counters (the fleet bench's elision proof)."""
+        """Replenisher wakeup counters (fleet-scale elision proof)."""
         stats = dict(self._spares_stats)
         stats["consumed"] = self.spares.consumed
         stats["replenished"] = self.spares.replenished

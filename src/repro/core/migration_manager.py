@@ -135,7 +135,7 @@ class MigrationManager:
             scheduler.settle_now()
 
     def flush_drive_stats(self):
-        """Aggregated group-scheduler counters for the fleet bench."""
+        """Aggregated group-scheduler counters for the fleet-scale tests."""
         totals = {"schedulers": len(self._flush_schedulers),
                   "cohorts_created": 0, "cohorts_active": 0,
                   "members": 0, "flows_issued": 0, "splits": 0}

@@ -9,7 +9,7 @@ index, so ``shards=1`` (everything inline in this process) and
 and because each market's simulation depends only on its own seed and
 its own requests, and the mailbox merge is stamp-ordered, every shard
 count replays one canonical run.  ``FleetResult.digest()`` is the
-bit-identity witness the tests and the fleet bench assert on.
+bit-identity witness the tests assert on.
 
 Worker protocol: long-lived forked processes (shard state must survive
 across epochs), one duplex pipe each, strict request/reply —

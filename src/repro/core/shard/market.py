@@ -113,7 +113,7 @@ class ShardConfig:
     days: float = 14.0
     hot_spares: int = 2
     #: ``None``: consolidate each market's fleet onto one scaled backup
-    #: server (the fleet bench's worst-case single cohort).
+    #: server (the fleet cell's worst-case single cohort).
     vms_per_backup: int = None
     steady_checkpoint_flush: bool = True
     defer_flush_accounting: bool = True

@@ -9,7 +9,7 @@ the event's exception into it if the event failed.
 Every event class declares ``__slots__``: grid simulations allocate
 millions of short-lived :class:`Timeout` and resumption events, and
 dropping the per-instance ``__dict__`` measurably raises kernel
-events/sec (see ``repro.benchmarking``).
+events/sec (``tests/sim/test_kernel.py`` holds a floor on it).
 """
 
 from repro.sim.errors import SimulationError

@@ -50,7 +50,7 @@ class Environment:
         self.rng = RngRegistry(seed)
         self._active_process = None
         #: Total events processed by :meth:`step` over the environment's
-        #: lifetime.  The fleet bench divides this by VM-hours to ratchet
+        #: lifetime.  The fleet-scale tests divide this by VM-hours to gate
         #: the per-VM event budget; it is never reset.
         self.events_processed = 0
         #: Observability facade, or ``None`` for uninstrumented runs.

@@ -20,8 +20,8 @@ patterns' closed-form interval integrals, and latency mass from the
 ledgers' closed-form lognormal buckets.  Kernel event count is
 O(breakpoints + epochs + windows), and accounting work is O(segments x
 fleet size) — both independent of request volume, so two million users
-cost exactly what twenty do (asserted by the ``traffic`` microbench in
-``repro bench``).
+cost exactly what twenty do (asserted in
+``tests/traffic/test_engine.py``).
 """
 
 from dataclasses import dataclass, field

@@ -8,7 +8,7 @@ checkpoint cadences, i.e. many distinct plans per (pool, mechanism).
 
 A :class:`FleetMix` describes such a population as a list of
 :class:`MixClass` entries — each a *write-rate factor* applied to the
-fleet bench's synthetic base profile plus a relative weight.  The mix
+fleet cell's synthetic base profile plus a relative weight.  The mix
 is pure data (a frozen dataclass of tuples), picklable across shard
 processes, and deterministic: :meth:`FleetMix.counts` apportions a
 fleet size by largest remainder and :meth:`FleetMix.workload_factory`
@@ -17,8 +17,8 @@ population no matter which process hosts it.
 
 :func:`default_fleet_mix` spreads factors geometrically (ratio 1/3)
 so the summed checkpoint-round rate of all classes stays under ~1.5x
-the base class alone — that is what lets the heterogeneity ratchet
-(``fleet_mix`` in ``check_bench_floors``) demand the mixed cell stay
+the base class alone — that is what lets the heterogeneity gate
+(``tests/core/test_fleet_scale.py``) demand the mixed cell stay
 within 2x the homogeneous cell's kernel events.
 """
 
@@ -34,7 +34,7 @@ __all__ = [
     "default_fleet_mix",
 ]
 
-#: Write rate of the fleet bench's base class, matching the default
+#: Write rate of the fleet cell's base class, matching the default
 #: :class:`~repro.virt.vm.NestedVM` memory model — so a single-class
 #: mix reproduces the homogeneous fleet cell exactly.
 FLEET_BASE_WRITE_RATE_PAGES = 2000.0

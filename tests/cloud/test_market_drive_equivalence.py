@@ -46,16 +46,31 @@ class TestScenarioEquivalence:
             assert stepped == indexed, kwargs
 
     def test_skipping_drive_delivers_fewer_points(self, monkeypatch):
+        """The indexed drive wakes for, and delivers, under 1% of the
+        trace points.  A drive that wakes per point again (forced step
+        mode) delivers every point and fails the same bound."""
         config = ScenarioConfig(policy="1P-M", mechanism="spotcheck-lazy",
                                 seed=7, days=2.0, vms=4)
         archive = PolicySimulation.build_archive(
             config.seed, config.duration_s,
             market_params=config.market_params)
-        _summary, controller = PolicySimulation(
-            config, archive=archive).run(return_controller=True)
-        stats = controller.api.marketplace.drive_stats()
-        assert stats["points"] > 0
-        assert stats["delivered"] < stats["points"] / 5
+
+        def drive_stats():
+            _summary, controller = PolicySimulation(
+                config, archive=archive).run(return_controller=True)
+            return controller.api.marketplace.drive_stats()
+
+        def lazy(stats):
+            return max(stats["delivered"], stats["wakes"]) * 100 \
+                <= stats["points"]
+
+        indexed = drive_stats()
+        monkeypatch.setattr(SpotMarket, "_step_mode", lambda self: True)
+        stepped = drive_stats()
+        assert indexed["points"] == stepped["points"] > 0
+        assert lazy(indexed)
+        assert stepped["delivered"] == stepped["points"]
+        assert not lazy(stepped)
 
 
 class TestPriceWindowEquivalence:

@@ -92,3 +92,31 @@ class TestExperimentCommand:
     def test_unknown_experiment(self, capsys):
         code = main(["experiment", "fig99"])
         assert code == 2
+
+
+class TestGoldenCommands:
+    @pytest.mark.parametrize("command", [
+        ["chaos", "--days", "2", "--vms", "2"],
+        ["sla", "--days", "2", "--vms", "2", "--policies", "1P-M"],
+        ["index", "--days", "2", "--vms", "2", "--policies", "1P-M"],
+    ], ids=lambda command: command[0])
+    def test_json_check_golden_stdout_is_one_document(
+            self, command, tmp_path, capsys):
+        golden = str(tmp_path / "golden.json")
+        assert main(command + ["--write-golden", golden]) == 0
+        capsys.readouterr()
+        assert main(command + ["--json", "--check-golden", golden]) == 0
+        captured = capsys.readouterr()
+        json.loads(captured.out)
+        assert "match" in captured.err
+
+    def test_golden_mismatch_exits_one(self, tmp_path, capsys):
+        command = ["chaos", "--days", "2", "--vms", "2"]
+        golden = tmp_path / "golden.json"
+        assert main(command + ["--write-golden", str(golden)]) == 0
+        pinned = json.loads(golden.read_text())
+        pinned["retries_total"] = -1
+        golden.write_text(json.dumps(pinned))
+        capsys.readouterr()
+        assert main(command + ["--check-golden", str(golden)]) == 1
+        assert "GOLDEN MISMATCH retries_total" in capsys.readouterr().err
