@@ -18,6 +18,7 @@ Markets are driven by independent RNG streams, which yields the
 near-zero cross-market correlations of Figures 6c/6d.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,10 +128,14 @@ class SpotPriceModel:
         p = self.params
         mean_log = np.log(p.base_ratio_mean)
         innovations = rng.normal(0.0, p.base_log_volatility, size=steps)
-        # x[t] = mean + phi * (x[t-1] - mean) + eps[t], vectorized with a
-        # single-pole IIR filter.
-        from scipy.signal import lfilter
-        deviations = lfilter([1.0], [1.0, -p.mean_reversion], innovations)
+        # x[t] = mean + phi * (x[t-1] - mean) + eps[t], as an explicit
+        # recurrence on the deviations: each step rounds phi * y and then
+        # the sum, exactly as a direct-form single-pole IIR filter does.
+        phi = p.mean_reversion
+        deviations = np.fromiter(
+            itertools.accumulate(innovations.tolist(),
+                                 lambda y, eps: phi * y + eps),
+            float, steps)
         ratios = np.exp(mean_log + deviations)
         return np.clip(ratios, p.ratio_floor, 0.999)
 
@@ -189,36 +194,35 @@ class SpotPriceModel:
         return sub_spans
 
     def _splice(self, grid, base_ratios, spike_spans):
-        """Merge the base grid and spike edges into one step function."""
-        p = self.params
-        events = []  # (time, kind, payload); kinds: 0 grid, 1 spike on, 2 off
-        for when, ratio in zip(grid, base_ratios):
-            events.append((float(when), 0, float(ratio)))
-        for begin, end, multiple in spike_spans:
-            events.append((float(begin), 1, float(multiple)))
-            events.append((float(end), 2, None))
-        events.sort(key=lambda item: (item[0], item[1]))
+        """Merge the base grid and spike edges into one step function.
 
-        times, prices = [], []
-        current_base = float(base_ratios[0] * p.on_demand_price)
-        spike_depth = 0
-        spike_price = None
-        for when, kind, payload in events:
-            if kind == 0:
-                current_base = payload * p.on_demand_price
-                effective = spike_price if spike_depth > 0 else current_base
-            elif kind == 1:
-                spike_depth += 1
-                spike_price = payload * p.on_demand_price
-                effective = spike_price
-            else:
-                spike_depth = max(spike_depth - 1, 0)
-                if spike_depth == 0:
-                    spike_price = None
-                effective = spike_price if spike_depth > 0 else current_base
-            if times and when == times[-1]:
-                prices[-1] = effective
-            else:
-                times.append(when)
-                prices.append(effective)
-        return np.asarray(times), np.asarray(prices)
+        Events are grid points (kind 0), spike-on edges (kind 1) and
+        spike-off edges (kind 2), ordered by (time, kind) with ties kept
+        in input order.  After each event the price is the latest
+        spike-on multiple while any spike is open, else the latest base
+        ratio; among events sharing a timestamp the last one wins.
+        Every span has ``begin <= end`` and starts at or after
+        ``grid[0]``, so each off edge follows its on edge and a base
+        point precedes every edge.
+        """
+        odp = self.params.on_demand_price
+        spans = np.asarray(spike_spans, dtype=float).reshape(-1, 3)
+        when = np.concatenate([grid, spans[:, :2].ravel()])
+        kind = np.concatenate([np.zeros(len(grid), dtype=np.int8),
+                               np.tile(np.array([1, 2], dtype=np.int8),
+                                       len(spans))])
+        payload = np.concatenate([base_ratios,
+                                  np.repeat(spans[:, 2], 2)]) * odp
+        order = np.lexsort((kind, when))
+        when, kind, payload = when[order], kind[order], payload[order]
+
+        open_spikes = np.array([0, 1, -1])[kind].cumsum()
+        index = np.arange(len(when))
+        last_on = np.maximum.accumulate(np.where(kind == 1, index, -1))
+        last_base = np.maximum.accumulate(np.where(kind == 0, index, -1))
+        effective = np.where(open_spikes > 0, payload[last_on],
+                             payload[last_base])
+
+        # The last event at each timestamp wins.
+        last = np.append(when[1:] != when[:-1], True)
+        return when[last], effective[last]

@@ -15,6 +15,7 @@ toward the error rate, not the latency distribution.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erf, ndtri
 
 from repro.virt.vm import VMState
 from repro.workloads.base import Conditions
@@ -154,8 +155,6 @@ class RequestAnalyzer:
         weights = np.asarray(weights, dtype=float)
         weights /= weights.sum()
         means = np.asarray(means, dtype=float)
-
-        from scipy.special import erf, ndtri
 
         # Shared latency grid sized to the mixture's actual spread:
         # each lognormal's 0.05th..99.995th percentile, so heavy tails
