@@ -9,6 +9,9 @@ warnings trigger bounded-time migrations to the on-demand side, price
 recoveries trigger live migrations back to spot.
 """
 
+import gc
+from contextlib import contextmanager
+
 from repro.cloud.errors import (
     ApiError,
     BidTooLow,
@@ -31,6 +34,35 @@ from repro.backup.store import CheckpointStore
 from repro.virt.hypervisor import HostVM
 from repro.virt.migration.checkpoint import CheckpointStream
 from repro.virt.vm import NestedVM, VMState
+
+
+@contextmanager
+def _collector_paused_then_frozen():
+    """Run a bulk fleet build with the cyclic collector off, then freeze it.
+
+    Every booted VM leaves ~15 GC-tracked objects alive and the build
+    makes almost no garbage, so collections during it only re-walk the
+    growing fleet (10 full collections in a 100k-VM boot).  Entry
+    unfreezes the previous bulk boot's fleet and collects once, while
+    the heap is small, so a dropped fleet is freed; ``finalize()``
+    does not unfreeze, because that would hand the fleet back to the
+    oldest generation.  Exit freezes every tracked object so later
+    collections skip the fleet, and re-enables the collector only if
+    it was enabled on entry.  Freezing is process-wide: the latest
+    fleet is exempt from cycle collection until the next bulk boot or
+    process exit, and a caller's own ``gc.freeze()`` is undone by the
+    next boot.
+    """
+    gc.unfreeze()
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.freeze()
+        if enabled:
+            gc.enable()
 
 
 class _Storm:
@@ -457,7 +489,10 @@ class SpotCheckController:
         the bulk path skips per-VM ENI/volume plumbing — subnets are
         /24s, so a 100k-VM cell cannot hold per-VM addresses, and
         nothing in the steady-state machinery needs them (every
-        consumer null-checks ``vm.eni`` / ``vm.volume``).
+        consumer null-checks ``vm.eni`` / ``vm.volume``).  Everything
+        after ``run_instances`` returns is one synchronous build, run
+        with the cyclic collector paused and the booted fleet frozen
+        afterwards (:func:`_collector_paused_then_frozen`).
 
         Returns the list of running nested VMs.
         """
@@ -473,57 +508,59 @@ class SpotCheckController:
         host_count = -(-count // slots)
         instances = yield self.api.run_instances(
             pool.itype, pool.zone, Market.SPOT, host_count, bid=pool.bid)
-        hosts = []
-        for instance in instances:
-            host = HostVM(self.env, instance, self.slot_itype, slots=slots)
-            pool.add_host(host)
-            self.env.process(self._watch_spot_host(host, pool))
-            hosts.append(host)
+        with _collector_paused_then_frozen():
+            hosts = []
+            for instance in instances:
+                host = HostVM(self.env, instance, self.slot_itype, slots=slots)
+                pool.add_host(host)
+                self.env.process(self._watch_spot_host(host, pool))
+                hosts.append(host)
 
-        warning = self.api.marketplace.warning_period
-        #: Per-workload-class plan cache keyed by the VM's memory model
-        #: (a frozen dataclass): the planner verdict and stream rate
-        #: are pure functions of the dirtying profile, and distinct
-        #: workload classes may share one python type (write-scaled
-        #: fleet mixes), so the type name is not a safe key.
-        class_plans = {}
-        vms = []
-        booted = 0
-        obs = self.env.obs
-        for host in hosts:
-            for _slot in range(slots):
-                if booted >= count:
-                    break
-                workload = (workload_factory() if workload_factory
-                            is not None else None)
-                vm = NestedVM(self.env, self.slot_itype, workload=workload,
-                              customer=customer)
-                vm.checkpoint_stream = CheckpointStream(
-                    vm.memory, self.config.mechanism.checkpoint)
-                key = vm.memory
-                plan = class_plans.get(key)
-                if plan is None:
-                    plan = {
-                        "live_fits": self.migrations.live_fits_warning(
-                            vm.memory, warning),
-                        "rate": vm.checkpoint_stream.stream_rate_bps(),
-                    }
-                    class_plans[key] = plan
-                host.hypervisor.boot(vm)
-                vm.host = host
-                customer.add_vm(vm)
-                self.ledger.vm_created(vm)
-                if not (self.config.live_migration_only
-                        or plan["live_fits"]):
-                    backup = self.backup_pool.assign(
-                        vm.id, plan["rate"], cap=self.config.vms_per_backup)
-                    vm.backup_assignment = backup
-                    backup.store.open_image(vm.id, vm.memory.total_bytes)
-                    backup.store.seed_full_image(vm.id)
-                    if self.config.steady_checkpoint_flush:
-                        self.migrations.steady_flush_join(vm, backup)
-                booted += 1
-                vms.append(vm)
+            warning = self.api.marketplace.warning_period
+            #: Per-workload-class plan cache keyed by the VM's memory model
+            #: (a frozen dataclass): the planner verdict and stream rate
+            #: are pure functions of the dirtying profile, and distinct
+            #: workload classes may share one python type (write-scaled
+            #: fleet mixes), so the type name is not a safe key.
+            class_plans = {}
+            vms = []
+            booted = 0
+            obs = self.env.obs
+            for host in hosts:
+                for _slot in range(slots):
+                    if booted >= count:
+                        break
+                    workload = (workload_factory() if workload_factory
+                                is not None else None)
+                    vm = NestedVM(self.env, self.slot_itype, workload=workload,
+                                  customer=customer)
+                    vm.checkpoint_stream = CheckpointStream(
+                        vm.memory, self.config.mechanism.checkpoint)
+                    key = vm.memory
+                    plan = class_plans.get(key)
+                    if plan is None:
+                        plan = {
+                            "live_fits": self.migrations.live_fits_warning(
+                                vm.memory, warning),
+                            "rate": vm.checkpoint_stream.stream_rate_bps(),
+                        }
+                        class_plans[key] = plan
+                    host.hypervisor.boot(vm)
+                    vm.host = host
+                    customer.add_vm(vm)
+                    self.ledger.vm_created(vm)
+                    if not (self.config.live_migration_only
+                            or plan["live_fits"]):
+                        backup = self.backup_pool.assign(
+                            vm.id, plan["rate"],
+                            cap=self.config.vms_per_backup)
+                        vm.backup_assignment = backup
+                        backup.store.open_image(vm.id, vm.memory.total_bytes)
+                        backup.store.seed_full_image(vm.id)
+                        if self.config.steady_checkpoint_flush:
+                            self.migrations.steady_flush_join(vm, backup)
+                    booted += 1
+                    vms.append(vm)
         if obs is not None:
             obs.emit("fleet.provisioned", vms=len(vms), hosts=len(hosts),
                      pool_key=pool.key)

@@ -1,5 +1,8 @@
 """The bulk fleet-provisioning path and its steady-flush wiring."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cloud.api import CloudApi
@@ -10,6 +13,7 @@ from repro.core.config import SpotCheckConfig
 from repro.core.controller import SpotCheckController
 from repro.sim.kernel import Environment
 from repro.traces.archive import PriceTrace, TraceArchive
+from repro.workloads import default_fleet_mix
 
 DAY = 24 * 3600.0
 
@@ -102,3 +106,91 @@ class TestProvisionFleet:
         customer = controller.start_customer("fleet")
         with pytest.raises(ValueError):
             env.run(until=controller.provision_fleet(customer, 0))
+
+
+@pytest.fixture
+def restore_gc():
+    """Leave the collector as the test found it."""
+    enabled = gc.isenabled()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+class TestCollectorPause:
+    """The bulk build runs with the cyclic collector paused and freezes
+    what it booted; the pause must end however the build ends."""
+
+    def test_boot_runs_at_most_one_full_collection(self, restore_gc):
+        """Counts, not host time: at 20k VMs an unpaused boot runs
+        several full collections over the growing fleet; the paused
+        one runs only the deliberate collection before the build."""
+        n_vms = 20_000
+        config = SpotCheckConfig(vms_per_backup=n_vms,
+                                 steady_checkpoint_flush=True,
+                                 defer_flush_accounting=True)
+        env, api, controller = build(config)
+        customer = controller.start_customer("fleet")
+        factory = default_fleet_mix(classes=8).workload_factory(n_vms)
+        full = []
+
+        def count_full(phase, info):
+            if phase == "start" and info["generation"] == 2:
+                full.append(info)
+
+        gc.enable()
+        gc.callbacks.append(count_full)
+        try:
+            vms = env.run(until=controller.provision_fleet(
+                customer, n_vms, workload_factory=factory))
+        finally:
+            gc.callbacks.remove(count_full)
+        assert len(vms) == n_vms
+        assert len(full) <= 1
+        assert gc.get_freeze_count() > 0
+        assert gc.isenabled()
+
+    def test_collector_restarts_when_the_build_raises(self, restore_gc):
+        env, api, controller = build()
+        customer = controller.start_customer("fleet")
+        calls = []
+
+        def failing_factory():
+            calls.append(None)
+            if len(calls) == 5:
+                raise RuntimeError("workload factory failed")
+            return None
+
+        gc.enable()
+        with pytest.raises(RuntimeError, match="workload factory failed"):
+            env.run(until=controller.provision_fleet(
+                customer, 10, workload_factory=failing_factory))
+        assert len(calls) == 5
+        assert gc.isenabled()
+
+    def test_a_disabled_collector_stays_disabled(self, restore_gc):
+        env, api, controller = build()
+        gc.disable()
+        _, vms = provision(env, controller, 10)
+        assert len(vms) == 10
+        assert not gc.isenabled()
+
+    def test_next_boot_releases_the_previous_fleet(self, restore_gc):
+        """The freeze exempts only the latest fleet: once nothing holds
+        cell A, booting cell B collects it."""
+
+        def boot_cell():
+            env, _, controller = build()
+            provision(env, controller, 40)
+            return weakref.ref(env)
+
+        gc.enable()
+        first = boot_cell()
+        # Held only by its own cycles, frozen with its fleet.
+        assert first() is not None
+        boot_cell()
+        assert first() is None
