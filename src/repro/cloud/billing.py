@@ -129,6 +129,3 @@ class BillingLedger:
             record.cost for record in self.records.values()
             if record.end is not None
             and (market is None or record.market is market))
-
-    def records_for(self, market):
-        return [r for r in self.records.values() if r.market is market]

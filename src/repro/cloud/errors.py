@@ -57,8 +57,3 @@ class ThrottlingError(ApiError):
 
     def __init__(self, message, operation=None):
         super().__init__(message, operation=operation, retryable=True)
-
-
-def is_transient(exc):
-    """Whether ``exc`` is a control-plane error worth retrying."""
-    return isinstance(exc, ApiError) and exc.retryable

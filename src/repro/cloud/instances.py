@@ -94,13 +94,6 @@ class Instance:
         self.terminated_at = self.env.now
         self.terminated.succeed(self)
 
-    def uptime(self):
-        """Seconds the instance has been running (so far or total)."""
-        if self.launched_at is None:
-            return 0.0
-        end = self.terminated_at if self.terminated_at is not None else self.env.now
-        return end - self.launched_at
-
     def __repr__(self):
         return (f"<Instance {self.id} {self.itype.name} {self.zone} "
                 f"{self.market.value} {self.state.value}>")

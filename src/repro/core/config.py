@@ -88,17 +88,22 @@ class SpotCheckConfig:
         backup datapath).  Off by default: the scenario goldens
         predate steady flush simulation and price only final commits,
         so enabling it is an explicit opt-in for fleet cells.
+        The scheduler credits rounds O(1) each and settles per-VM
+        totals once, at finalize.
     defer_flush_accounting:
-        With ``steady_checkpoint_flush``, credit members O(1) per
-        round and settle per-VM totals at finalize (fleet mode)
-        instead of eagerly every round.
+        Accepted and ignored.  It used to choose between eager
+        per-round crediting and settling at finalize; settling at
+        finalize is now the only mode, and the recorded fleet digests
+        are unchanged.
     soa_checkpoint_flush:
         Accepted and ignored.  It used to select a struct-of-arrays
         checkpoint core that has been retired: the group checkpoint
         scheduler now serves every fleet, homogeneous or mixed, and
-        the recorded fleet digests are unchanged.  The field stays
-        only because the benchmark workloads in ``perfbench/`` still
-        pass it; it goes with the next change to that benchmark.
+        the recorded fleet digests are unchanged.
+
+    Both ignored fields stay only because the benchmark workloads in
+    ``perfbench/`` still pass them; they go with the next change to
+    that benchmark.
     """
 
     allocation_policy: str = "1P-M"

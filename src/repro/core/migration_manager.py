@@ -23,7 +23,6 @@ from repro.cloud.instances import Market
 from repro.faults.retry import retry_call
 from repro.obs.trace import NULL_TRACER
 from repro.virt.hypervisor import HostVM
-from repro.virt.migration.checkpoint import CheckpointStream
 from repro.virt.migration.group import GroupCheckpointScheduler
 from repro.virt.migration.live import PreCopyMigration
 from repro.virt.migration.restore import SKELETON_BYTES
@@ -109,15 +108,15 @@ class MigrationManager:
             return
         scheduler = self._flush_schedulers.get(backup.id)
         if scheduler is None:
-            scheduler = GroupCheckpointScheduler(
-                self.env, backup.ingest,
-                defer_accounting=self.config.defer_flush_accounting)
+            scheduler = GroupCheckpointScheduler(self.env, backup.ingest)
             self._flush_schedulers[backup.id] = scheduler
 
-        def _commit(flushed, vm_id=vm.id, store=backup.store):
-            # A round in flight when the VM released its backup still
-            # credits the scheduler's totals, but the image is gone.
-            if vm_id in store:
+        def _commit(flushed, vm_id=vm.id, store=backup.store,
+                    image=backup.store.image(vm.id)):
+            # Rounds settle at finalize.  A VM that released its backup
+            # since still credits the scheduler's totals, but its image
+            # is gone (or replaced by a fresh one), so the store is not.
+            if vm_id in store and store.image(vm_id) is image:
                 store.commit(vm_id, flushed)
 
         scheduler.join(vm.id, vm.checkpoint_stream, on_flush=_commit)
@@ -138,11 +137,11 @@ class MigrationManager:
         """Aggregated group-scheduler counters for the fleet-scale tests."""
         totals = {"schedulers": len(self._flush_schedulers),
                   "cohorts_created": 0, "cohorts_active": 0,
-                  "members": 0, "flows_issued": 0, "splits": 0}
+                  "members": 0, "flows_issued": 0}
         for scheduler in self._flush_schedulers.values():
             stats = scheduler.stats()
             for key in ("cohorts_created", "cohorts_active", "members",
-                        "flows_issued", "splits"):
+                        "flows_issued"):
                 totals[key] += stats[key]
         return totals
 
@@ -682,6 +681,3 @@ class MigrationManager:
 
     def skeleton_bytes(self):
         return SKELETON_BYTES
-
-    def checkpoint_stream_for(self, vm):
-        return CheckpointStream(vm.memory, self.config.mechanism.checkpoint)

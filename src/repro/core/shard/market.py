@@ -116,7 +116,6 @@ class ShardConfig:
     #: server (the fleet cell's worst-case single cohort).
     vms_per_backup: int = None
     steady_checkpoint_flush: bool = True
-    defer_flush_accounting: bool = True
     #: Optional :class:`~repro.workloads.mix.FleetMix`: provision each
     #: market's fleet as that deterministic population of workload
     #: classes instead of the homogeneous default.  Applied per market
@@ -174,7 +173,6 @@ class MarketSimulation:
                             if config.vms_per_backup is not None
                             else max(n_vms, 1)),
             steady_checkpoint_flush=config.steady_checkpoint_flush,
-            defer_flush_accounting=config.defer_flush_accounting,
         )
         rate_bps = steady_rate_bps(env, controller_config)
         spec_backup, self.backup_shards = fleet_backup_spec(
@@ -385,7 +383,11 @@ class MarketSimulation:
             events_processed=self.env.events_processed,
             summary=summary,
             drive=self.pool.market.drive_stats(),
-            flush=controller.migrations.flush_drive_stats(),
+            # The constant ``splits`` is the retired plan-split counter:
+            # FleetResult.digest() hashes this dict, and the recorded
+            # benchmark digests still include it.
+            flush=dict(controller.migrations.flush_drive_stats(),
+                       splits=0),
             spares=controller.spares_drive_stats(),
         )
 

@@ -40,10 +40,6 @@ class Span:
             return None
         return self.end - self.start
 
-    @property
-    def is_open(self):
-        return self.end is None
-
     def walk(self):
         """Yield this span and every descendant, depth-first."""
         yield self

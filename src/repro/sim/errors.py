@@ -18,16 +18,3 @@ class Interrupt(Exception):
 
     def __repr__(self):
         return f"Interrupt(cause={self.cause!r})"
-
-
-class StopProcess(Exception):
-    """Internal: raised to return a value from a process generator.
-
-    Process generators normally terminate with ``return value``; this
-    exception exists for callers that need to abort a generator from the
-    outside while still recording a result.
-    """
-
-    def __init__(self, value=None):
-        super().__init__(value)
-        self.value = value

@@ -122,39 +122,6 @@ class PriceTrace:
         rising = above & ~np.insert(above[:-1], 0, False)
         return self.times[rising]
 
-    def crossings_below(self, threshold):
-        """Times at which the price crosses from > threshold to <= it.
-
-        The mirror of :meth:`crossings_above` — the points where a
-        parked pool becomes eligible to return to the spot market.
-        """
-        below = self.prices <= threshold
-        falling = below & ~np.insert(below[:-1], 0, False)
-        return self.times[falling]
-
-    def first_index_above(self, threshold, start=0):
-        """Index of the first point at or after ``start`` whose price
-        exceeds ``threshold``, or ``None``.
-
-        Vectorized equivalent of scanning the trace point by point —
-        the primitive the event-skipping market drive plans bid
-        crossings with.
-        """
-        above = np.flatnonzero(self.prices[start:] > threshold)
-        return int(above[0]) + start if len(above) else None
-
-    def first_index_in_band(self, lo, hi, start=0):
-        """Index of the first point at or after ``start`` with
-        ``lo < price <= hi``, or ``None``.  ``None`` bounds are open."""
-        window = self.prices[start:]
-        mask = np.ones(len(window), dtype=bool)
-        if lo is not None:
-            mask &= window > lo
-        if hi is not None:
-            mask &= window <= hi
-        hits = np.flatnonzero(mask)
-        return int(hits[0]) + start if len(hits) else None
-
     def exact_hop_chain(self):
         """Whether ``t[i-1] + (t[i] - t[i-1])`` lands exactly on ``t[i]``
         for every consecutive pair.

@@ -129,14 +129,6 @@ class CheckpointStream:
             return 0.0
         return self.memory.dirty_bytes(interval) / interval
 
-    def residual_dirty_bytes(self):
-        """Expected dirty state outstanding at an arbitrary instant.
-
-        On average a warning arrives mid-interval, so half an interval's
-        dirty volume is outstanding.
-        """
-        return self.memory.dirty_bytes(self.interval_s() / 2.0)
-
     def feasible_ramp_interval_s(self):
         """The tightest checkpoint interval the ramp can sustain.
 

@@ -10,38 +10,38 @@ same instance type and workload profile, so their steady-state plans
 
 The :class:`GroupCheckpointScheduler` exploits that: members with the
 same plan that join at the same instant form a **cohort** sharing one
-scheduler process.  The cohort wakes once per interval, issues *one*
+scheduler process.  The cohort wakes once per interval and issues *one*
 aggregated flow (``n x dirty`` bytes at ``n x cap``) through the
-fair-share backup datapath, and credits every member on completion.
+fair-share backup datapath.  A round costs O(1) whatever the cohort
+size: completing it only flips a flag, and per-member totals are
+settled once, at :meth:`~GroupCheckpointScheduler.settle` or
+:meth:`~GroupCheckpointScheduler.settle_now`.
 
 Equivalence with per-VM streams is exact by construction:
 
 * cohort wake times reproduce the per-VM loop bit-for-bit — the same
   ``timeout(interval)`` accumulation from the same join instant;
-* each completed round credits each member ``flushed += dirty``, the
-  same repeated float addition the per-VM flush performs;
-* members whose recomputed plan diverges from the cohort's are split
-  off into fresh (usually singleton) cohorts at the round boundary —
-  exactly where a per-VM stream would have adopted the new interval —
-  so heterogeneous fleets degrade gracefully to exact per-VM mode;
+* a member's settled total is a shared fold ``F[k] = F[k-1] + dirty``
+  over the rounds completed while it was enrolled — the same
+  sequential float additions a per-VM stream's ``flushed += dirty``
+  performs;
+* a member that leaves is credited the rounds armed before it left,
+  in flight or not, once they complete (a per-VM stream drains its
+  in-flight flushes after its stop event), and its ``on_flush`` fires
+  at settle like everyone else's;
 * a member joining mid-interval starts its own cohort at its join
   time, just as a fresh per-VM stream would.
+
+A member's plan is pinned at join.  That loses nothing: a plan is a
+pure function of the stream's frozen ``MemoryModel`` and frozen
+``CheckpointConfig``, and neither is reassigned after join, so a per-VM
+stream re-solving it every round gets the same plan every round.
 
 The aggregated flow matches ``n`` separate flows whenever the cohort's
 flows are either capacity-bound together or cap-bound individually
 (min(n*cap, C) == n*min(cap, C/n)); under *mixed* contention with
 unrelated flows the aggregate carries one fair-share weight instead of
 ``n``, a deliberate modelling trade documented in docs/performance.md.
-
-Two accounting modes:
-
-* **eager** (default): every round credits every member — bit-identical
-  observable state at any instant, used by the equivalence tests;
-* **defer**: rounds only flip an O(1) completion flag; per-member
-  totals are reconstructed at :meth:`settle` through a shared
-  fold cache (``F[k] = F[k-1] + dirty``, the same sequential fold
-  eager crediting performs), so a 100k-member cohort costs O(1) per
-  round instead of O(n).
 """
 
 from repro.virt.memory import MemoryModel
@@ -53,9 +53,8 @@ _INF = float("inf")
 #: Plan cache keyed by (memory, config) — both frozen dataclasses whose
 #: plans are pure functions of their fields, so a 100k-VM fleet pays
 #: the iterative interval solve once per workload class, not per VM.
-#: Only genuine :class:`MemoryModel` instances are cached; test doubles
-#: with time-varying behaviour (the divergence-fallback tests) bypass
-#: the cache and are re-solved every round.
+#: Only genuine :class:`MemoryModel` instances are cached; a test
+#: double is solved once per join, never per round.
 _PLAN_CACHE = {}
 
 
@@ -81,54 +80,38 @@ def _plan_of(stream):
 class _Cohort:
     """One shared checkpoint loop over members with an identical plan."""
 
-    __slots__ = ("sched", "plan", "created_at", "members", "streams",
-                 "stop", "proc", "in_flight", "rounds_armed",
-                 "flags", "left_at_round")
+    __slots__ = ("sched", "plan", "members", "stop", "proc", "in_flight",
+                 "rounds_armed", "flags", "leavers")
 
     def __init__(self, sched, plan):
         self.sched = sched
         self.plan = plan
-        self.created_at = sched.env.now
         #: member_id -> on_flush callback (insertion-ordered).
         self.members = {}
-        #: member_id -> stream (for divergence rechecks).
-        self.streams = {}
         self.stop = sched.env.event()
         self.in_flight = []
         #: Rounds armed with a positive dirty volume.
         self.rounds_armed = 0
-        #: Per-round completion flags (defer mode).
+        #: Per-round completion flags.
         self.flags = []
-        #: member_id -> rounds_armed at departure (defer mode).
-        self.left_at_round = {}
+        #: member_id -> (rounds_armed at departure, on_flush callback).
+        self.leavers = {}
         self.proc = sched.env.process(self._run())
-
-    @property
-    def size(self):
-        return len(self.members)
 
     def _run(self):
         env = self.sched.env
+        interval, dirty, _cap = self.plan
+        # A parked plan (infinite interval) rechecks hourly, like the
+        # per-VM stream.  Pinned at join, it never unparks; the wakes
+        # stay because kernel event counts are part of the recorded
+        # sharded benchmark digest.
+        wake = 3600.0 if interval == _INF else interval
         while self.members and not self.stop.triggered:
-            interval, dirty, _cap = self.plan
-            if interval == _INF:
-                # Parked, like the per-VM stream: recheck hourly.
-                yield env.any_of([self.stop, env.timeout(3600.0)])
-                if self.stop.triggered:
-                    break
-                self._replan()
-                continue
-            yield env.any_of([self.stop, env.timeout(interval)])
-            if self.stop.triggered:
-                break
-            if not self.members:
+            yield env.any_of([self.stop, env.timeout(wake)])
+            if self.stop.triggered or not self.members:
                 break
             if dirty > 0:
                 self._arm_flush(dirty)
-            # Replan *after* arming: this round's flush uses the plan
-            # the members slept under, exactly as the per-VM loop
-            # flushes the interval it just waited out.
-            self._replan()
         pending = [p for p in self.in_flight if p.is_alive]
         if pending:
             yield env.all_of(pending)
@@ -136,20 +119,12 @@ class _Cohort:
     def _arm_flush(self, dirty):
         sched = self.sched
         env = sched.env
-        if sched.defer:
-            # O(1) per round: membership is only needed for eager
-            # crediting; defer mode reconstructs totals at settle.
-            snapshot = None
-            n = len(self.members)
-        else:
-            snapshot = list(self.members.items())
-            n = len(snapshot)
-        _interval, _dirty, cap = self.plan
+        n = len(self.members)
+        cap = self.plan[2]
         round_index = self.rounds_armed
         self.rounds_armed += 1
         sched.flows_issued += 1
-        if sched.defer:
-            self.flags.append(False)
+        self.flags.append(False)
         # Prune completed flows on every arm: a healthy cohort keeps at
         # most a flush or two in flight (flush time < interval), and a
         # dead process reference would otherwise pin its frame for the
@@ -159,14 +134,7 @@ class _Cohort:
 
         def _flush():
             yield sched.link.transfer(dirty * n, rate_cap=cap * n)
-            if sched.defer:
-                self.flags[round_index] = True
-            else:
-                flushed = sched.flushed
-                for member_id, on_flush in snapshot:
-                    flushed[member_id] = flushed.get(member_id, 0.0) + dirty
-                    if on_flush is not None:
-                        on_flush(dirty)
+            self.flags[round_index] = True
             obs = getattr(env, "obs", None)
             if obs is not None:
                 obs.emit("checkpoint.group_flush", members=n,
@@ -176,63 +144,36 @@ class _Cohort:
 
         self.in_flight.append(env.process(_flush()))
 
-    def _replan(self):
-        """Recompute member plans; split divergent members off.
-
-        A split member re-enters :meth:`GroupCheckpointScheduler.join`
-        at the current round boundary — the instant a per-VM stream
-        would have started sleeping under its new interval — so the
-        fallback to exact per-VM (singleton-cohort) mode is lossless.
-        Skipped in defer mode, where stream parameters are pinned at
-        join (the documented fleet-scale contract).
-        """
-        if self.sched.defer:
-            return
-        divergent = []
-        for member_id, stream in self.streams.items():
-            if _plan_of(stream) != self.plan:
-                divergent.append(member_id)
-        for member_id in divergent:
-            on_flush = self.members.pop(member_id)
-            stream = self.streams.pop(member_id)
-            self.sched._members.pop(member_id, None)
-            self.sched.splits += 1
-            self.sched.join(member_id, stream, on_flush=on_flush)
-
     def remove(self, member_id):
-        self.members.pop(member_id, None)
-        self.streams.pop(member_id, None)
-        if self.sched.defer:
-            self.left_at_round[member_id] = self.rounds_armed
+        on_flush = self.members.pop(member_id)
+        self.leavers[member_id] = (self.rounds_armed, on_flush)
         if not self.members and not self.stop.triggered:
             # Event elision: wake the sleeping loop so an empty cohort
             # exits now instead of at its next interval boundary.
             self.stop.succeed()
 
     def settle_credits(self):
-        """Defer mode: reconstruct per-member totals from round flags."""
+        """Credit each member, current or departed, its completed rounds."""
         sched = self.sched
-        _interval, dirty, _cap = self.plan
+        dirty = self.plan[1]
         completed_prefix = [0]
         for flag in self.flags:
             completed_prefix.append(completed_prefix[-1] + (1 if flag else 0))
-        # Shared fold cache: F[k] is what k eager credits of `dirty`
-        # would have accumulated (same sequential float fold).
+        # Shared fold cache: F[k] is what k per-round credits of `dirty`
+        # accumulate (the per-VM stream's sequential float fold).
         fold = [0.0]
         for _ in range(completed_prefix[-1]):
             fold.append(fold[-1] + dirty)
-        for member_id, on_flush in self.members.items():
-            credits = completed_prefix[self.rounds_armed]
-            total = fold[credits]
+        enrolled = [(member_id, self.rounds_armed, on_flush)
+                    for member_id, on_flush in self.members.items()]
+        enrolled.extend((member_id, rounds, on_flush) for member_id,
+                        (rounds, on_flush) in self.leavers.items())
+        for member_id, rounds, on_flush in enrolled:
+            total = fold[completed_prefix[rounds]]
             sched.flushed[member_id] = \
                 sched.flushed.get(member_id, 0.0) + total
             if on_flush is not None and total > 0:
                 on_flush(total)
-        for member_id, last_round in self.left_at_round.items():
-            credits = completed_prefix[last_round]
-            total = fold[credits]
-            sched.flushed[member_id] = \
-                sched.flushed.get(member_id, 0.0) + total
 
 
 class GroupCheckpointScheduler:
@@ -246,18 +187,16 @@ class GroupCheckpointScheduler:
         Transfer facade (``.transfer(nbytes, rate_cap=...)`` returning a
         completion event) — a ``FairShareLink`` or a backup server's
         ``ingest``.
-    defer_accounting:
-        When True, rounds cost O(1) regardless of cohort size and
-        per-member totals are settled once at :meth:`settle` (fleet
-        mode).  When False (default), every round credits every member
-        eagerly — bit-identical to per-VM streams at any instant.
+
+    Rounds cost O(1) regardless of cohort size; per-member totals
+    (:attr:`flushed`, and each member's ``on_flush``) are settled once,
+    by :meth:`settle` or :meth:`settle_now`.
     """
 
-    def __init__(self, env, backup_link, defer_accounting=False):
+    def __init__(self, env, backup_link):
         self.env = env
         self.link = backup_link
-        self.defer = defer_accounting
-        #: member_id -> cumulative flushed bytes.
+        #: member_id -> cumulative flushed bytes (filled at settle).
         self.flushed = {}
         #: (join_time, plan) -> open cohort.
         self._open = {}
@@ -266,7 +205,6 @@ class GroupCheckpointScheduler:
         self._settled = False
         self.cohorts_created = 0
         self.flows_issued = 0
-        self.splits = 0
 
     def join(self, member_id, stream, on_flush=None):
         """Enroll a stream; returns the cohort it landed in.
@@ -285,7 +223,6 @@ class GroupCheckpointScheduler:
             self._all_cohorts.append(cohort)
             self.cohorts_created += 1
         cohort.members[member_id] = on_flush
-        cohort.streams[member_id] = stream
         self._members[member_id] = cohort
         return cohort
 
@@ -293,7 +230,8 @@ class GroupCheckpointScheduler:
         """Drop a member from future rounds.
 
         Rounds already in flight still credit it (matching a per-VM
-        stream draining its in-flight flushes after its stop event).
+        stream draining its in-flight flushes after its stop event);
+        its ``on_flush`` receives them at settle.
         """
         cohort = self._members.pop(member_id, None)
         if cohort is not None:
@@ -322,9 +260,8 @@ class GroupCheckpointScheduler:
                 procs.append(cohort.proc)
         if procs:
             yield self.env.all_of(procs)
-        if self.defer:
-            for cohort in self._all_cohorts:
-                cohort.settle_credits()
+        for cohort in self._all_cohorts:
+            cohort.settle_credits()
         return self.flushed
 
     def settle_now(self):
@@ -341,9 +278,8 @@ class GroupCheckpointScheduler:
         for cohort in self._all_cohorts:
             if not cohort.stop.triggered:
                 cohort.stop.succeed()
-        if self.defer:
-            for cohort in self._all_cohorts:
-                cohort.settle_credits()
+        for cohort in self._all_cohorts:
+            cohort.settle_credits()
         return self.flushed
 
     def stats(self):
@@ -354,5 +290,4 @@ class GroupCheckpointScheduler:
             "cohorts_active": active,
             "members": len(self._members),
             "flows_issued": self.flows_issued,
-            "splits": self.splits,
         }

@@ -99,12 +99,19 @@ class MicroTestbed:
 
     def stop_streams(self):
         if self._group is not None:
-            self.env.process(self._group.settle())
-            self._group = None
+            for vm in self.vms:
+                self._group.leave(vm.id)
         for stop in self._stops.values():
             if not stop.triggered:
                 stop.succeed()
         self._stops.clear()
+
+    def _settle_streams(self):
+        """Credit the grouped rounds completed by now (per-VM streams
+        credit theirs as they complete)."""
+        if self._group is not None:
+            self._group.settle_now()
+            self._group = None
 
     def run_steady(self, duration_s):
         """Stream checkpoints for ``duration_s``; return measurements.
@@ -116,6 +123,7 @@ class MicroTestbed:
         self.env.run(until=self.env.now + duration_s)
         self.stop_streams()
         self.env.run(until=self.env.now + 1.0)  # drain stop events
+        self._settle_streams()
         measured = {vm.id: self.flushed_bytes[vm.id] / duration_s
                     for vm in self.vms}
         aggregate = sum(measured.values())
@@ -141,6 +149,7 @@ class MicroTestbed:
         done = self.env.process(
             self._drill(warning_s, restore_kind, optimized, ramped))
         results = self.env.run(until=done)
+        self._settle_streams()
         for vm in self.vms:
             assert vm.state is VMState.RUNNING
         horizon = self.env.now

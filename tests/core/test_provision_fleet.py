@@ -76,8 +76,7 @@ class TestProvisionFleet:
 
     def test_finalize_settles_flush_credits(self):
         env, api, controller = build(SpotCheckConfig(
-            vms_per_backup=100, steady_checkpoint_flush=True,
-            defer_flush_accounting=True))
+            vms_per_backup=100, steady_checkpoint_flush=True))
         _, vms = provision(env, controller, 10)
         env.run(until=env.now + 3600.0)
         controller.finalize()
@@ -89,9 +88,9 @@ class TestProvisionFleet:
         for vm in vms:
             assert scheduler.flushed[vm.id] == \
                 pytest.approx(rate * 3600.0, rel=0.15)
-            # Defer mode lands the whole credit as one commit.
+            # The seed, then the whole settled credit as one commit.
             image = vm.backup_assignment.store.image(vm.id)
-            assert image.commits >= 1
+            assert image.commits == 2
 
     def test_released_backup_leaves_flush_group(self):
         env, api, controller = build(SpotCheckConfig(
@@ -100,6 +99,26 @@ class TestProvisionFleet:
         assert controller.migrations.flush_drive_stats()["members"] == 4
         controller.release_backup(vms[0])
         assert controller.migrations.flush_drive_stats()["members"] == 3
+
+    def test_rounds_before_release_skip_a_reopened_image(self):
+        """A VM that releases its backup and is re-assigned the same
+        server gets a fresh image; the rounds it flushed before the
+        release settle into the scheduler's totals, not that image."""
+        env, api, controller = build(SpotCheckConfig(
+            vms_per_backup=100, steady_checkpoint_flush=True))
+        _, vms = provision(env, controller, 2)
+        vm = vms[0]
+        backup = vm.backup_assignment
+        env.run(until=env.now + 3600.0)
+        controller.release_backup(vm)
+        controller._assign_backup(vm)
+        assert vm.backup_assignment is backup
+        env.run(until=env.now + 3600.0)
+        controller.finalize()
+        scheduler = controller.migrations._flush_schedulers[backup.id]
+        history = backup.store.image(vm.id).history
+        assert len(history) == 2
+        assert 0 < history[1][1] < scheduler.flushed[vm.id]
 
     def test_count_must_be_positive(self):
         env, api, controller = build()
@@ -131,8 +150,7 @@ class TestCollectorPause:
         one runs only the deliberate collection before the build."""
         n_vms = 20_000
         config = SpotCheckConfig(vms_per_backup=n_vms,
-                                 steady_checkpoint_flush=True,
-                                 defer_flush_accounting=True)
+                                 steady_checkpoint_flush=True)
         env, api, controller = build(config)
         customer = controller.start_customer("fleet")
         factory = default_fleet_mix(classes=8).workload_factory(n_vms)

@@ -64,9 +64,14 @@ class TestEquivalence:
         _, per_vm_bed, _ = run_testbed(5, grouped=False)
         _, grouped_bed, _ = run_testbed(5, grouped=True)
         for vm_a, vm_b in zip(per_vm_bed.vms, grouped_bed.vms):
-            expected = per_vm_bed.server.store.image(vm_a.id)
-            actual = grouped_bed.server.store.image(vm_b.id)
-            assert actual.commits == expected.commits
+            expected = per_vm_bed.server.store.image(vm_a.id).history
+            actual = grouped_bed.server.store.image(vm_b.id).history
+            # The full-image seed, then the steady commits: one per
+            # round per VM, one settled fold grouped — the same bytes.
+            assert actual[0] == expected[0]
+            assert sum(b for _, b in actual[1:]) \
+                == sum(b for _, b in expected[1:])
+            assert len(actual) == 2
 
     def test_grouping_elides_kernel_events(self):
         env_per_vm, _, _ = run_testbed(40, grouped=False)
@@ -76,10 +81,9 @@ class TestEquivalence:
             < env_per_vm.events_processed
 
 
-def make_scheduler(env, defer=False):
+def make_scheduler(env):
     server = BackupServer(env)
-    return GroupCheckpointScheduler(env, server.ingest,
-                                    defer_accounting=defer)
+    return GroupCheckpointScheduler(env, server.ingest)
 
 
 def make_stream(env, workload=TpcwWorkload):
@@ -147,25 +151,59 @@ class TestCohorts:
         assert sched.flushed["a"] == pytest.approx(2 * dirty)
         assert sched.flushed["b"] == pytest.approx(6 * dirty)
 
+    def test_leaver_credited_through_on_flush_at_settle(self):
+        """A leaver's completed rounds reach its ``on_flush`` at settle,
+        folded into one call, just as they reach :attr:`flushed`."""
+        env = Environment(seed=5)
+        sched = make_scheduler(env)
+        _, stream_a = make_stream(env)
+        _, stream_b = make_stream(env)
+        calls = {"a": [], "b": []}
+        cohort = sched.join("a", stream_a, on_flush=calls["a"].append)
+        sched.join("b", stream_b, on_flush=calls["b"].append)
+        interval, dirty, _cap = cohort.plan
+        env.run(until=2.5 * interval)
+        sched.leave("a")
+        env.run(until=6.5 * interval)
+        sched.settle_now()
+        assert calls["a"] == [dirty + dirty]
+        assert sched.flushed["a"] == dirty + dirty
+        assert len(calls["b"]) == 1
+
     def test_defer_mode_matches_eager_totals(self):
-        results = {}
-        for defer in (False, True):
-            env = Environment(seed=7)
-            sched = make_scheduler(env, defer=defer)
-            for index in range(5):
-                _, stream = make_stream(env)
-                sched.join(f"vm{index}", stream)
-            interval = sched.cohort_of("vm0").plan[0]
-            env.run(until=3.5 * interval)
-            sched.leave("vm4")
-            env.run(until=10.5 * interval)
-            env.run(until=env.process(sched.settle()))
-            results[defer] = dict(sched.flushed)
-        assert results[True] == results[False]
+        """Settled totals equal per-VM streams, which credit every
+        round as it completes, over one join/leave/settle schedule."""
+        env = Environment(seed=7)
+        sched = make_scheduler(env)
+        for index in range(5):
+            _, stream = make_stream(env)
+            sched.join(f"vm{index}", stream)
+        interval = sched.cohort_of("vm0").plan[0]
+        env.run(until=3.5 * interval)
+        sched.leave("vm4")
+        env.run(until=10.5 * interval)
+        env.run(until=env.process(sched.settle()))
+
+        env = Environment(seed=7)
+        server = BackupServer(env)
+        stops = [env.event() for _ in range(5)]
+        runs = []
+        for stop in stops:
+            _, stream = make_stream(env)
+            runs.append(stream.run(env, server.ingest, stop))
+        env.run(until=3.5 * interval)
+        stops[4].succeed()
+        env.run(until=10.5 * interval)
+        for stop in stops[:4]:
+            stop.succeed()
+        env.run(until=env.all_of(runs))
+        per_vm = {f"vm{index}": run.value for index, run in enumerate(runs)}
+        assert sched.flushed == per_vm
+        assert per_vm["vm4"] < per_vm["vm0"]
 
     def test_settle_now_credits_only_completed_rounds(self):
         env = Environment(seed=7)
-        sched = make_scheduler(env, defer=True)
+        sched = make_scheduler(env)
         _, stream = make_stream(env)
         cohort = sched.join("a", stream)
         interval, dirty, _cap = cohort.plan
@@ -175,105 +213,6 @@ class TestCohorts:
         assert flushed["a"] == pytest.approx(4 * dirty)
         # Settling is idempotent.
         assert sched.settle_now() is flushed
-
-
-class _SteppedMemory:
-    """Time-varying double: the steady interval doubles at ``switch_t``.
-
-    ``dirty_bytes`` stays a pure function of the interval, so per-VM
-    streams (which evaluate it at wake time) and cohort plans (which
-    capture it at sleep time) agree; only the *interval* moves, which
-    is exactly the divergence the cohort must detect and split on.
-    Deliberately not a ``MemoryModel`` so the plan cache is bypassed.
-    """
-
-    def __init__(self, env, rate_bps=2e6, base_interval_s=20.0,
-                 switch_t=100.0, new_interval_s=None):
-        self.env = env
-        self.rate_bps = rate_bps
-        self.base_interval_s = base_interval_s
-        self.switch_t = switch_t
-        self.new_interval_s = (new_interval_s if new_interval_s is not None
-                               else 2 * base_interval_s)
-        self.total_bytes = 4e9
-
-    def interval_for_dirty_bytes(self, budget_bytes):
-        if self.env.now < self.switch_t:
-            return self.base_interval_s
-        return self.new_interval_s
-
-    def dirty_bytes(self, interval_s):
-        return self.rate_bps * min(interval_s, 3600.0)
-
-
-class TestDivergenceFallback:
-    def _run_per_vm(self, duration_s):
-        env = Environment(seed=9)
-        server = BackupServer(env)
-        flushed = {}
-        stops = []
-        for index in range(3):
-            stream = CheckpointStream(_SteppedMemory(env),
-                                      CheckpointConfig())
-            stop = env.event()
-            stops.append(stop)
-            member = f"vm{index}"
-            flushed[member] = 0.0
-
-            def _account(nbytes, member=member):
-                flushed[member] += nbytes
-
-            stream.run(env, server.ingest, stop, on_flush=_account)
-        env.run(until=duration_s)
-        for stop in stops:
-            stop.succeed()
-        env.run(until=duration_s + 30.0)
-        return flushed
-
-    def _run_grouped(self, duration_s):
-        env = Environment(seed=9)
-        server = BackupServer(env)
-        sched = GroupCheckpointScheduler(env, server.ingest)
-        for index in range(3):
-            stream = CheckpointStream(_SteppedMemory(env),
-                                      CheckpointConfig())
-            sched.join(f"vm{index}", stream)
-        env.run(until=duration_s)
-        env.run(until=env.process(sched.settle()))
-        env.run(until=duration_s + 30.0)
-        return sched, dict(sched.flushed)
-
-    def test_split_reproduces_per_vm_results(self):
-        per_vm = self._run_per_vm(310.0)
-        sched, grouped = self._run_grouped(310.0)
-        assert grouped == per_vm
-        # All three members diverged at t=100 and were split off into
-        # one fresh cohort (same instant, same new plan).
-        assert sched.splits == 3
-        assert sched.cohorts_created == 2
-
-    def test_cross_cohort_divergence_to_one_plan_shares_cohort(self):
-        """Members of *different* cohorts converging on one new plan at
-        the same round boundary must land in one shared cohort, not one
-        fresh singleton per origin cohort."""
-        env = Environment(seed=9)
-        server = BackupServer(env)
-        sched = GroupCheckpointScheduler(env, server.ingest)
-        # Base intervals 20 and 25 both hit a round boundary at t=100,
-        # where every member switches to the same interval (60) at the
-        # same dirty rate — i.e. the identical new plan.
-        for index, base in enumerate((20.0, 20.0, 25.0, 25.0)):
-            memory = _SteppedMemory(env, base_interval_s=base,
-                                    switch_t=100.0, new_interval_s=60.0)
-            sched.join(f"vm{index}", CheckpointStream(memory,
-                                                      CheckpointConfig()))
-        assert sched.cohorts_created == 2
-        env.run(until=130.0)
-        cohorts = {sched.cohort_of(f"vm{index}") for index in range(4)}
-        assert len(cohorts) == 1
-        assert sched.splits == 4
-        assert sched.cohorts_created == 3
-        env.run(until=env.process(sched.settle()))
 
 
 class TestInFlightHygiene:
