@@ -8,16 +8,20 @@ a test.
 """
 
 import json
+import math
 import os
 
 
 # -- events ------------------------------------------------------------
 
+#: One encoder for every event; ``json.dumps`` with these options
+#: builds a new one per call.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 def event_to_json(event):
     """One event as a compact, key-sorted JSON line (no newline)."""
-    return json.dumps(event.to_dict(), sort_keys=True,
-                      separators=(",", ":"))
+    return _encode(event.to_dict())
 
 
 def events_to_jsonl(events):
@@ -63,6 +67,11 @@ def _format_value(value):
     if value is None:
         return "NaN"
     value = float(value)
+    # The text format's spellings; a zero SLO budget burns at +Inf.
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)

@@ -7,6 +7,14 @@ set.  Histograms estimate p50/p95/p99 with the P² algorithm [Jain &
 Chlamtac, CACM'85] — five markers per tracked quantile, no sample
 storage — so a million-observation series costs the same memory as a
 ten-observation one.
+
+The P² update has one implementation, the batch kernel
+:meth:`P2Quantile.observe_many`: it holds the markers in locals across
+a batch and writes them back once, so a caller that observes several
+values at a time (:meth:`Histogram.observe_many`; the SLA ledgers feed
+eight per accounted batch) pays one call per batch, not one per value.
+Single observations go through the same kernel, and a batch leaves
+every marker bit-identical to observing its values one by one.
 """
 
 
@@ -33,53 +41,111 @@ class P2Quantile:
         self.count = 0
 
     def observe(self, value):
-        value = float(value)
-        self.count += 1
+        self.observe_many((float(value),))
+
+    def observe_many(self, values):
+        """Feed a sequence of floats, in order, through the P² update.
+
+        Bit-identical to observing them one at a time: the marker
+        heights, positions and the three live desired positions stay
+        in locals for the whole batch, the cell search and the three
+        marker adjustments are unrolled with the parabolic and linear
+        predictions inlined, and every float operation keeps the
+        textbook per-value order.
+        """
         heights = self._heights
-        if len(heights) < 5:
-            heights.append(value)
+        total = len(values)
+        start = 0
+        while len(heights) < 5 and start < total:
+            # Warm-up: the first five observations are stored exactly.
+            heights.append(values[start])
             heights.sort()
+            start += 1
+        self.count += total
+        if start == total:
             return
-        # Find the cell k such that q[k] <= value < q[k+1].
-        if value < heights[0]:
-            heights[0] = value
-            k = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            k = 3
-        else:
-            k = 0
-            while value >= heights[k + 1]:
-                k += 1
+        q0, q1, q2, q3, q4 = heights
         positions = self._positions
-        for i in range(k + 1, 5):
-            positions[i] += 1
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        # Adjust the three middle markers toward their desired positions.
-        for i in (1, 2, 3):
-            delta = self._desired[i] - positions[i]
-            if (delta >= 1 and positions[i + 1] - positions[i] > 1) or \
-                    (delta <= -1 and positions[i - 1] - positions[i] < -1):
+        n0, n1, n2, n3, n4 = positions
+        desired = self._desired
+        d1, d2, d3 = desired[1], desired[2], desired[3]
+        _, i1, i2, i3, _ = self._increments
+        for index in range(start, total):
+            v = values[index]
+            # Find the cell k such that q[k] <= v < q[k+1]; every
+            # marker above it moves up one position.
+            if v < q0:
+                q0 = v
+                n1 += 1
+                n2 += 1
+                n3 += 1
+            elif v >= q4:
+                q4 = v
+            elif not v >= q1:
+                n1 += 1
+                n2 += 1
+                n3 += 1
+            elif not v >= q2:
+                n2 += 1
+                n3 += 1
+            elif not v >= q3:
+                n3 += 1
+            n4 += 1
+            d1 += i1
+            d2 += i2
+            d3 += i3
+            # Adjust the three middle markers toward their desired
+            # positions: parabolic prediction, linear when it would
+            # leave the neighbours' bracket.
+            delta = d1 - n1
+            if (delta >= 1 and n2 - n1 > 1) or \
+                    (delta <= -1 and n0 - n1 < -1):
                 step = 1 if delta > 0 else -1
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
+                candidate = q1 + step / (n2 - n0) * (
+                    (n1 - n0 + step) * (q2 - q1) / (n2 - n1)
+                    + (n2 - n1 - step) * (q1 - q0) / (n1 - n0))
+                if q0 < candidate < q2:
+                    q1 = candidate
+                elif step > 0:
+                    q1 = q1 + step * (q2 - q1) / (n2 - n1)
                 else:
-                    heights[i] = self._linear(i, step)
-                positions[i] += step
-
-    def _parabolic(self, i, step):
-        q, n = self._heights, self._positions
-        return q[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (q[i + 1] - q[i])
-            / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (q[i] - q[i - 1])
-            / (n[i] - n[i - 1]))
-
-    def _linear(self, i, step):
-        q, n = self._heights, self._positions
-        return q[i] + step * (q[i + step] - q[i]) / (n[i + step] - n[i])
+                    q1 = q1 + step * (q0 - q1) / (n0 - n1)
+                n1 += step
+            delta = d2 - n2
+            if (delta >= 1 and n3 - n2 > 1) or \
+                    (delta <= -1 and n1 - n2 < -1):
+                step = 1 if delta > 0 else -1
+                candidate = q2 + step / (n3 - n1) * (
+                    (n2 - n1 + step) * (q3 - q2) / (n3 - n2)
+                    + (n3 - n2 - step) * (q2 - q1) / (n2 - n1))
+                if q1 < candidate < q3:
+                    q2 = candidate
+                elif step > 0:
+                    q2 = q2 + step * (q3 - q2) / (n3 - n2)
+                else:
+                    q2 = q2 + step * (q1 - q2) / (n1 - n2)
+                n2 += step
+            delta = d3 - n3
+            if (delta >= 1 and n4 - n3 > 1) or \
+                    (delta <= -1 and n2 - n3 < -1):
+                step = 1 if delta > 0 else -1
+                candidate = q3 + step / (n4 - n2) * (
+                    (n3 - n2 + step) * (q4 - q3) / (n4 - n3)
+                    + (n4 - n3 - step) * (q3 - q2) / (n3 - n2))
+                if q2 < candidate < q4:
+                    q3 = candidate
+                elif step > 0:
+                    q3 = q3 + step * (q4 - q3) / (n4 - n3)
+                else:
+                    q3 = q3 + step * (q2 - q3) / (n2 - n3)
+                n3 += step
+        heights[:] = (q0, q1, q2, q3, q4)
+        positions[:] = (n0, n1, n2, n3, n4)
+        desired[1], desired[2], desired[3] = d1, d2, d3
+        # The outer desired positions advance by exact integer steps
+        # (increments 0 and 1 from 1.0 and 5.0), so one add per batch
+        # lands on the same bits as one per value.
+        desired[4] += total - start
 
     @property
     def value(self):
@@ -145,13 +211,28 @@ class Histogram:
         self._estimators = {q: P2Quantile(q) for q in quantiles}
 
     def observe(self, value):
-        value = float(value)
-        self.count += 1
-        self.sum += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        self.observe_many((value,))
+
+    def observe_many(self, values):
+        """Observe several values in order, as repeated :meth:`observe`
+        would: ``sum`` accumulates one value at a time, and each
+        quantile estimator runs its batch kernel once."""
+        values = [float(value) for value in values]
+        if not values:
+            return
+        total, lo, hi = self.sum, self.min, self.max
+        if lo is None:
+            lo = hi = values[0]
+        for value in values:
+            total += value
+            if value < lo:
+                lo = value
+            if value > hi:
+                hi = value
+        self.count += len(values)
+        self.sum, self.min, self.max = total, lo, hi
         for estimator in self._estimators.values():
-            estimator.observe(value)
+            estimator.observe_many(values)
 
     def quantile(self, q):
         """The estimate for a tracked quantile ``q``."""

@@ -32,6 +32,11 @@ from scipy.special import erf, ndtri
 
 _SQRT2 = math.sqrt(2.0)
 
+#: Latency shapes memoized per ledger before the memo starts over.
+#: Means are few in practice (customer x {running, degraded}), but a
+#: continuous backup-overload factor can make them unbounded.
+SHAPE_MEMO_CAP = 256
+
 
 @dataclass(frozen=True)
 class SlaTarget:
@@ -89,6 +94,11 @@ class SlaLedger:
         Representative equal-mass quantile draws fed to the P2
         histograms per accounted batch (0 disables the feed).  Bounded
         per batch, so the obs cost is O(segments), never O(requests).
+
+    A batch's latency shape (bucket masses, slow-tail fraction, P2
+    samples) depends only on its ``mean_ms``: the CoV, grid and target
+    are fixed per ledger.  So each distinct mean is solved once and
+    reused; see :meth:`_shape`.
     """
 
     def __init__(self, name, target=None, obs=None, latency_cov=0.35,
@@ -112,6 +122,10 @@ class SlaLedger:
             self._sample_z = ndtri(probs)
         else:
             self._sample_z = None
+        #: mean_ms -> (bucket masses, slow fraction, P2 samples).
+        self._shapes = {}
+        #: Obs series handles by metric name, fetched on first use.
+        self._series = {}
 
         # Lifetime totals.
         self.total_requests = 0.0
@@ -195,6 +209,30 @@ class SlaLedger:
             self.degraded_s += duration
         if requests <= 0:
             return
+        mass, slow_frac, samples = self._shape(mean_ms)
+        self._mass += requests * mass
+        slow = requests * slow_frac
+        self.slow_requests += slow
+        if slow / requests > self.target.budget_fraction:
+            self.violation_s += duration
+        self._note_bad(requests, slow)
+        self._feed_p2(samples)
+
+    def _shape(self, mean_ms):
+        """The memoized lognormal solve for batches around ``mean_ms``.
+
+        Returns ``(mass, slow_frac, samples)``: the per-request bucket
+        masses, the fraction of requests slower than the SLA threshold,
+        and the representative P2 samples (``None`` when the feed is
+        off).  A batch of ``requests`` adds ``requests * mass`` and
+        counts ``requests * slow_frac`` slow: the same operands an
+        uncached solve multiplies, so the same bits.
+        """
+        shape = self._shapes.get(mean_ms)
+        if shape is not None:
+            return shape
+        if len(self._shapes) >= SHAPE_MEMO_CAP:
+            self._shapes.clear()
         mu, sigma = lognormal_params(mean_ms, self.latency_cov)
         # Bucket mass: P(edge_k < X <= edge_{k+1}) via the lognormal
         # CDF at every edge, vectorized.  Mass above the top edge is
@@ -202,14 +240,27 @@ class SlaLedger:
         cdf = 0.5 * (1.0 + erf((self._log_edges - mu) / (sigma * _SQRT2)))
         cdf[0] = 0.0
         cdf[-1] = 1.0
-        self._mass += requests * np.diff(cdf)
+        mass = np.diff(cdf)
+        mass.flags.writeable = False
         z_sla = (math.log(self.target.latency_ms) - mu) / (sigma * _SQRT2)
-        slow = requests * (1.0 - 0.5 * (1.0 + erf(z_sla)))
-        self.slow_requests += slow
-        if slow / requests > self.target.budget_fraction:
-            self.violation_s += duration
-        self._note_bad(requests, slow)
-        self._feed_p2(mu, sigma)
+        slow_frac = 1.0 - 0.5 * (1.0 + erf(z_sla))
+        samples = None
+        if self._sample_z is not None:
+            # Python floats through math.exp: np.exp need not round
+            # like libm's exp, which defines the samples.
+            samples = tuple(math.exp(mu + sigma * z)
+                            for z in self._sample_z.tolist())
+        shape = self._shapes[mean_ms] = (mass, slow_frac, samples)
+        return shape
+
+    def _metric(self, kind, name):
+        """This customer's ``name`` series, registered on first use."""
+        series = self._series.get(name)
+        if series is None:
+            series = getattr(self.obs.metrics, kind)(name,
+                                                     customer=self.name)
+            self._series[name] = series
+        return series
 
     def _note_bad(self, requests, bad):
         """Window bookkeeping shared by the down and latency paths."""
@@ -217,13 +268,10 @@ class SlaLedger:
         self.window_bad += bad
         obs = self.obs
         if obs is not None:
-            obs.metrics.counter(
-                "traffic_requests_total", customer=self.name).inc(requests)
+            self._metric("counter", "traffic_requests_total").inc(requests)
             if bad > 0:
-                obs.metrics.counter(
-                    "sla_bad_requests_total", customer=self.name).inc(bad)
-            obs.metrics.gauge(
-                "sla_budget_burn", customer=self.name).set(self.window_burn)
+                self._metric("counter", "sla_bad_requests_total").inc(bad)
+            self._metric("gauge", "sla_budget_burn").set(self.window_burn)
         if not self.window_breached and self.window_budget > 0 and \
                 self.window_bad > self.window_budget:
             self.window_breached = True
@@ -232,18 +280,13 @@ class SlaLedger:
                 obs.emit("sla.breach", customer=self.name,
                          window=self.window_index,
                          bad=self.window_bad, budget=self.window_budget)
-                obs.metrics.counter(
-                    "sla_breaches_total", customer=self.name).inc()
+                self._metric("counter", "sla_breaches_total").inc()
 
-    def _feed_p2(self, mu, sigma):
+    def _feed_p2(self, samples):
         """Representative samples into the obs P2 latency histogram."""
-        obs = self.obs
-        if obs is None or self._sample_z is None:
+        if self.obs is None or samples is None:
             return
-        histogram = obs.metrics.histogram("sla_latency_ms",
-                                          customer=self.name)
-        for z in self._sample_z:
-            histogram.observe(math.exp(mu + sigma * z))
+        self._metric("histogram", "sla_latency_ms").observe_many(samples)
 
     # -- reporting ------------------------------------------------------
 

@@ -91,6 +91,38 @@ class TestPrometheus:
     def test_empty_registry_renders_empty(self):
         assert render_prometheus(MetricsRegistry()) == ""
 
+    def test_non_finite_values_use_text_format_spellings(self):
+        registry = MetricsRegistry()
+        registry.gauge("up").set(float("inf"))
+        registry.gauge("down").set(float("-inf"))
+        registry.gauge("unknown").set(float("nan"))
+        registry.gauge("finite").set(1e20)
+        registry.gauge("whole").set(-7.0)
+        text = render_prometheus(registry)
+        assert "up +Inf\n" in text
+        assert "down -Inf\n" in text
+        assert "unknown NaN\n" in text
+        assert "finite 1e+20\n" in text
+        assert "whole -7\n" in text
+
+
+class TestInfiniteBudgetBurnExport:
+    def test_zero_budget_window_with_a_failure_exports(self, tmp_path):
+        # A zero-budget window that sees a failed request burns at
+        # +Inf; the sla_budget_burn gauge used to crash the export.
+        from repro.sim.kernel import Environment
+        from repro.traffic import SlaLedger
+
+        obs = Observability()
+        Environment(seed=1, obs=obs)
+        ledger = SlaLedger("web", obs=obs)
+        ledger.begin_window(0, 10, 0.0)
+        ledger.account_down(0, 1, 5)
+        assert ledger.window_burn == float("inf")
+        obs.write_dir(str(tmp_path))
+        text = (tmp_path / "metrics.prom").read_text()
+        assert 'sla_budget_burn{customer="web"} +Inf\n' in text
+
 
 class TestTraceTree:
     def test_renders_nesting_and_durations(self):
