@@ -7,10 +7,10 @@ backup server stores it even if there is not a destination server
 available to execute the nested VM".
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(slots=True)
 class ImageRecord:
     """One nested VM's memory image on the backup server."""
 
@@ -22,7 +22,10 @@ class ImageRecord:
     outstanding_bytes: float = 0.0
     last_commit_at: float = None
     commits: int = 0
-    history: list = field(default_factory=list)
+    #: ``(time, bytes)`` per seed and commit, oldest first.  A sequence,
+    #: not always a list: images seeded together share one immutable
+    #: seed history, and each gets its own list at its next entry.
+    history: tuple = ()
 
     @property
     def is_complete(self):
@@ -31,12 +34,24 @@ class ImageRecord:
             self.outstanding_bytes == 0.0
 
 
+def _append(record, entry):
+    """Append to ``record.history``, unsharing a seed history first."""
+    history = record.history
+    if type(history) is tuple:
+        history = record.history = list(history)
+    history.append(entry)
+
+
 class CheckpointStore:
     """Image bookkeeping for one backup server."""
 
     def __init__(self, env):
         self.env = env
         self._images = {}
+        #: The latest one-entry seed history; immutable, so images
+        #: seeded at the same clock reading (the same ``env.now``
+        #: object) with the same size share it.
+        self._seed_history = None
 
     def open_image(self, vm_id, image_bytes):
         """Begin storing a VM's image (initial full copy pending)."""
@@ -53,7 +68,15 @@ class CheckpointStore:
         record.outstanding_bytes = 0.0
         record.last_commit_at = self.env.now
         record.commits += 1
-        record.history.append((self.env.now, record.image_bytes))
+        shared = self._seed_history
+        if shared is None or shared[0][0] is not self.env.now or \
+                shared[0][1] != record.image_bytes:
+            shared = self._seed_history = (
+                (self.env.now, record.image_bytes),)
+        if record.history:
+            _append(record, shared[0])
+        else:
+            record.history = shared
 
     def mark_dirty(self, vm_id, dirty_bytes):
         """Account dirty state accumulating on the source host."""
@@ -67,7 +90,17 @@ class CheckpointStore:
             record.outstanding_bytes - flushed_bytes, 0.0)
         record.last_commit_at = self.env.now
         record.commits += 1
-        record.history.append((self.env.now, flushed_bytes))
+        _append(record, (self.env.now, flushed_bytes))
+
+    def commit_if_current(self, vm_id, image, flushed_bytes):
+        """Commit ``flushed_bytes`` only if ``image`` is still open.
+
+        Settled steady-flush rounds arrive late: a VM that released its
+        backup since has no image here, or a fresh one, and the rounds
+        flushed into the old image must not land in the new.
+        """
+        if self._images.get(vm_id) is image:
+            self.commit(vm_id, flushed_bytes)
 
     def image(self, vm_id):
         try:

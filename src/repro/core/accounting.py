@@ -50,7 +50,7 @@ class RevocationEvent:
     backup_load: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class VmLifetime:
     vm_id: str
     start: float
@@ -116,16 +116,14 @@ class AccountingLedger:
 
     def unavailability(self):
         """Fraction of VM lifetime spent down (Figure 11's metric)."""
-        vm_seconds = self.total_vm_seconds()
-        return self.total_downtime_s() / vm_seconds if vm_seconds else 0.0
+        return _share(self.total_downtime_s(), self.total_vm_seconds())
 
     def availability(self):
         return 1.0 - self.unavailability()
 
     def degradation(self):
         """Fraction of VM lifetime spent degraded (Figure 12's metric)."""
-        vm_seconds = self.total_vm_seconds()
-        return self.total_degraded_s() / vm_seconds if vm_seconds else 0.0
+        return _share(self.total_degraded_s(), self.total_vm_seconds())
 
     def state_loss_events(self):
         """Migrations that lost VM state (must be empty for SpotCheck)."""
@@ -146,29 +144,50 @@ class AccountingLedger:
 
     # -- cost -----------------------------------------------------------
 
+    def _open_accruals(self, api):
+        """Dollars accrued to now by each open record, by instance id.
+
+        Built in ``api.instances`` order, so the cost sums below add the
+        same terms in the same order as one pass per sum would.  A spot
+        record's accrual is a pure function of its (market, start, now)
+        window, so records sharing a window (a bulk boot's hosts) are
+        integrated once.
+        """
+        billing = api.billing
+        accruals = {}
+        windows = {}
+        for instance in api.instances.values():
+            record = billing.records.get(instance.id)
+            if record is None or record.end is not None:
+                continue
+            if instance.is_spot:
+                market = api.marketplace.market(instance.itype, instance.zone)
+                window = (market, record.market, record.start)
+                dollars = windows.get(window)
+                if dollars is None:
+                    dollars = windows[window] = billing.accrued_cost(
+                        instance, market)
+            else:
+                dollars = billing.accrued_cost(instance)
+            accruals[instance.id] = dollars
+        return accruals
+
     def total_cost(self, api, include_open=True):
         """All dollars spent: native instances + extra (backup) costs."""
+        return self._total_cost(
+            api, self._open_accruals(api) if include_open else None)
+
+    def _total_cost(self, api, accruals):
         total = api.billing.total_cost()
-        if include_open:
-            for instance in api.instances.values():
-                record = api.billing.records.get(instance.id)
-                if record is None or record.end is not None:
-                    continue
-                if instance.is_spot:
-                    market = api.marketplace.market(
-                        instance.itype, instance.zone)
-                    total += api.billing.accrued_cost(instance, market)
-                else:
-                    total += api.billing.accrued_cost(instance)
+        if accruals is not None:
+            for dollars in accruals.values():
+                total += dollars
         total += sum(dollars for _label, dollars in self.extra_costs)
         return total
 
     def cost_per_vm_hour(self, api):
         """Average cost per nested-VM hour (Figure 10's metric)."""
-        vm_hours = self.total_vm_seconds() / 3600.0
-        if vm_hours == 0:
-            return 0.0
-        return self.total_cost(api) / vm_hours
+        return _per_hour(self.total_cost(api), self.total_vm_seconds())
 
     def cost_breakdown(self, api, include_open=True):
         """Dollars by source: spot, on-demand, backup/extra.
@@ -176,20 +195,18 @@ class AccountingLedger:
         Open records (instances still running) accrue to "now", so the
         breakdown always sums to :meth:`total_cost`.
         """
+        return self._cost_breakdown(
+            api, self._open_accruals(api) if include_open else None)
+
+    def _cost_breakdown(self, api, accruals):
         totals = {Market.SPOT: 0.0, Market.ON_DEMAND: 0.0}
         for instance_id, record in api.billing.records.items():
             if record.end is not None:
                 totals[record.market] += record.cost
-            elif include_open:
-                instance = api.instances[instance_id]
-                if instance.is_spot:
-                    market = api.marketplace.market(
-                        instance.itype, instance.zone)
-                    totals[Market.SPOT] += api.billing.accrued_cost(
-                        instance, market)
-                else:
-                    totals[Market.ON_DEMAND] += api.billing.accrued_cost(
-                        instance)
+            elif accruals is not None:
+                source = Market.SPOT if api.instances[instance_id].is_spot \
+                    else Market.ON_DEMAND
+                totals[source] += accruals[instance_id]
         extra = sum(dollars for _label, dollars in self.extra_costs)
         return {"spot": totals[Market.SPOT],
                 "on-demand": totals[Market.ON_DEMAND],
@@ -230,20 +247,43 @@ class AccountingLedger:
         return max(event.vms_displaced for event in self.revocations)
 
     def summary(self, api, total_vms=None):
-        """One-dictionary report used by the benches."""
+        """One-dictionary report used by the benches.
+
+        Sums the VM lifetimes and accrues each open record once, then
+        reduces exactly as the per-metric methods do, so every value is
+        bit-identical to theirs.
+        """
+        vm_seconds = self.total_vm_seconds()
+        accruals = self._open_accruals(api)
+        unavailability = _share(self.total_downtime_s(), vm_seconds)
         report = {
-            "vm_hours": self.total_vm_seconds() / 3600.0,
-            "cost_per_vm_hour": self.cost_per_vm_hour(api),
-            "availability": self.availability(),
-            "unavailability_pct": 100.0 * self.unavailability(),
-            "degradation_pct": 100.0 * self.degradation(),
+            "vm_hours": vm_seconds / 3600.0,
+            "cost_per_vm_hour": _per_hour(
+                self._total_cost(api, accruals), vm_seconds),
+            "availability": 1.0 - unavailability,
+            "unavailability_pct": 100.0 * unavailability,
+            "degradation_pct": 100.0 * _share(self.total_degraded_s(),
+                                              vm_seconds),
             "migrations": len(self.migrations),
             "revocation_events": len(self.revocations),
             "state_loss_events": len(self.state_loss_events()),
-            "cost_breakdown": self.cost_breakdown(api),
+            "cost_breakdown": self._cost_breakdown(api, accruals),
         }
         if total_vms:
             report["storm_histogram"] = self.storm_histogram(total_vms)
             report["max_concurrent_revocation"] = \
                 self.max_concurrent_revocation()
         return report
+
+
+def _share(seconds, vm_seconds):
+    """``seconds`` as a fraction of all VM lifetime (0 with none)."""
+    return seconds / vm_seconds if vm_seconds else 0.0
+
+
+def _per_hour(dollars, vm_seconds):
+    """``dollars`` per nested-VM hour (0 with no VM lifetime)."""
+    vm_hours = vm_seconds / 3600.0
+    if vm_hours == 0:
+        return 0.0
+    return dollars / vm_hours

@@ -33,16 +33,17 @@ from repro.backup.server import BackupServer
 from repro.backup.store import CheckpointStore
 from repro.virt.hypervisor import HostVM
 from repro.virt.migration.checkpoint import CheckpointStream
-from repro.virt.vm import NestedVM, VMState
+from repro.virt.vm import NestedVM, VMState, default_memory
 
 
 @contextmanager
 def _collector_paused_then_frozen():
     """Run a bulk fleet build with the cyclic collector off, then freeze it.
 
-    Every booted VM leaves ~15 GC-tracked objects alive and the build
-    makes almost no garbage, so collections during it only re-walk the
-    growing fleet (10 full collections in a 100k-VM boot).  Entry
+    Every booted VM leaves ~7 GC-tracked objects alive (~16 before the
+    per-class boot kits) and the build makes almost no garbage, so
+    collections during it only re-walk the growing fleet (10 full
+    collections in a 100k-VM boot before the pause).  Entry
     unfreezes the previous bulk boot's fleet and collects once, while
     the heap is small, so a dropped fleet is freed; ``finalize()``
     does not unfreeze, because that would hand the fleet back to the
@@ -482,14 +483,24 @@ class SpotCheckController:
 
         The fleet-scale request path: one batched ``run_instances``
         call launches every host (one control-plane latency for the
-        whole fleet), VMs boot directly into the sliced slots, and
-        plan-level per-VM work (the live-fits-warning planner, the
-        iterative stream-rate solve) is computed once per workload
-        class instead of once per VM.  Unlike :meth:`request_server`,
-        the bulk path skips per-VM ENI/volume plumbing — subnets are
-        /24s, so a 100k-VM cell cannot hold per-VM addresses, and
-        nothing in the steady-state machinery needs them (every
-        consumer null-checks ``vm.eni`` / ``vm.volume``).  Everything
+        whole fleet) and VMs boot directly into the sliced slots.  Each
+        workload class's immutables (its frozen ``MemoryModel``, its
+        stateless ``CheckpointStream`` and its plan: the
+        live-fits-warning verdict and the iterative stream-rate solve)
+        are built once and shared by every VM of the class.  The cache
+        is keyed by the workload object ``workload_factory`` returns, so
+        a factory should hand out one object per class, as
+        :meth:`FleetMix.workload_factory
+        <repro.workloads.mix.FleetMix.workload_factory>` does; without a
+        factory every VM shares the default profile's kit.  A factory
+        that builds a fresh workload per call gets a memory model and
+        stream per VM, but still one plan solve per class.
+
+        Unlike :meth:`request_server`, the bulk path skips per-VM
+        ENI/volume plumbing — subnets are /24s, so a 100k-VM cell
+        cannot hold per-VM addresses, and nothing in the steady-state
+        machinery needs them (every consumer null-checks ``vm.eni`` /
+        ``vm.volume``).  Everything
         after ``run_instances`` returns is one synchronous build, run
         with the cyclic collector paused and the booted fleet frozen
         afterwards (:func:`_collector_paused_then_frozen`).
@@ -517,12 +528,16 @@ class SpotCheckController:
                 hosts.append(host)
 
             warning = self.api.marketplace.warning_period
-            #: Per-workload-class plan cache keyed by the VM's memory model
-            #: (a frozen dataclass): the planner verdict and stream rate
-            #: are pure functions of the dirtying profile, and distinct
-            #: workload classes may share one python type (write-scaled
-            #: fleet mixes), so the type name is not a safe key.
-            class_plans = {}
+            #: Per-workload-class boot kit, keyed by the workload object
+            #: the factory hands out (``None`` for the default profile):
+            #: each class's frozen memory model, stateless checkpoint
+            #: stream and plan (the live-fits-warning verdict and the
+            #: stream rate, pure functions of the dirtying profile) are
+            #: built once and shared by every VM of the class.
+            kits = {}
+            #: The plans by memory model, so a factory that makes a
+            #: fresh workload per call still solves each plan once.
+            plans = {}
             vms = []
             booted = 0
             obs = self.env.obs
@@ -532,28 +547,22 @@ class SpotCheckController:
                         break
                     workload = (workload_factory() if workload_factory
                                 is not None else None)
-                    vm = NestedVM(self.env, self.slot_itype, workload=workload,
-                                  customer=customer)
-                    vm.checkpoint_stream = CheckpointStream(
-                        vm.memory, self.config.mechanism.checkpoint)
-                    key = vm.memory
-                    plan = class_plans.get(key)
-                    if plan is None:
-                        plan = {
-                            "live_fits": self.migrations.live_fits_warning(
-                                vm.memory, warning),
-                            "rate": vm.checkpoint_stream.stream_rate_bps(),
-                        }
-                        class_plans[key] = plan
+                    kit = kits.get(workload)
+                    if kit is None:
+                        kit = kits[workload] = self._class_kit(
+                            default_memory(self.slot_itype, workload),
+                            warning, plans)
+                    memory, stream, live_fits, rate = kit
+                    vm = NestedVM(self.env, self.slot_itype, memory=memory,
+                                  workload=workload, customer=customer)
+                    vm.checkpoint_stream = stream
                     host.hypervisor.boot(vm)
                     vm.host = host
                     customer.add_vm(vm)
                     self.ledger.vm_created(vm)
-                    if not (self.config.live_migration_only
-                            or plan["live_fits"]):
+                    if not (self.config.live_migration_only or live_fits):
                         backup = self.backup_pool.assign(
-                            vm.id, plan["rate"],
-                            cap=self.config.vms_per_backup)
+                            vm.id, rate, cap=self.config.vms_per_backup)
                         vm.backup_assignment = backup
                         backup.store.open_image(vm.id, vm.memory.total_bytes)
                         backup.store.seed_full_image(vm.id)
@@ -566,6 +575,20 @@ class SpotCheckController:
                      pool_key=pool.key)
             obs.metrics.counter("vms_created_total").inc(len(vms))
         return vms
+
+    def _class_kit(self, memory, warning, plans):
+        """``(memory, stream, live_fits, rate)`` of one workload class.
+
+        The plan, ``(live_fits, rate)``, is memoized in ``plans`` by the
+        (frozen, hashable) memory model.
+        """
+        stream = CheckpointStream(memory, self.config.mechanism.checkpoint)
+        plan = plans.get(memory)
+        if plan is None:
+            plan = plans[memory] = (
+                self.migrations.live_fits_warning(memory, warning),
+                stream.stream_rate_bps())
+        return (memory, stream) + plan
 
     def _host_with_slot(self, pool):
         """Process body: a host in ``pool`` with a slot reserved for us.

@@ -108,18 +108,16 @@ class MigrationManager:
             return
         scheduler = self._flush_schedulers.get(backup.id)
         if scheduler is None:
-            scheduler = GroupCheckpointScheduler(self.env, backup.ingest)
+            scheduler = GroupCheckpointScheduler(
+                self.env, backup.ingest,
+                on_flush=backup.store.commit_if_current)
             self._flush_schedulers[backup.id] = scheduler
-
-        def _commit(flushed, vm_id=vm.id, store=backup.store,
-                    image=backup.store.image(vm.id)):
-            # Rounds settle at finalize.  A VM that released its backup
-            # since still credits the scheduler's totals, but its image
-            # is gone (or replaced by a fresh one), so the store is not.
-            if vm_id in store and store.image(vm_id) is image:
-                store.commit(vm_id, flushed)
-
-        scheduler.join(vm.id, vm.checkpoint_stream, on_flush=_commit)
+        # Rounds settle at finalize.  The member's payload pins its image
+        # as of now: a VM that released its backup since still credits
+        # the scheduler's totals, but its image is gone (or replaced by a
+        # fresh one), so the store is not.
+        scheduler.join(vm.id, vm.checkpoint_stream,
+                       payload=backup.store.image(vm.id))
         self._flush_members[vm.id] = scheduler
 
     def steady_flush_leave(self, vm_id):

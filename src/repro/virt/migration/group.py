@@ -27,8 +27,8 @@ Equivalence with per-VM streams is exact by construction:
   performs;
 * a member that leaves is credited the rounds armed before it left,
   in flight or not, once they complete (a per-VM stream drains its
-  in-flight flushes after its stop event), and its ``on_flush`` fires
-  at settle like everyone else's;
+  in-flight flushes after its stop event), and the scheduler's
+  ``on_flush`` receives its total at settle like everyone else's;
 * a member joining mid-interval starts its own cohort at its join
   time, just as a fresh per-VM stream would.
 
@@ -86,7 +86,8 @@ class _Cohort:
     def __init__(self, sched, plan):
         self.sched = sched
         self.plan = plan
-        #: member_id -> on_flush callback (insertion-ordered).
+        #: member_id -> the member's ``on_flush`` payload
+        #: (insertion-ordered).
         self.members = {}
         self.stop = sched.env.event()
         self.in_flight = []
@@ -94,7 +95,7 @@ class _Cohort:
         self.rounds_armed = 0
         #: Per-round completion flags.
         self.flags = []
-        #: member_id -> (rounds_armed at departure, on_flush callback).
+        #: member_id -> (rounds_armed at departure, payload).
         self.leavers = {}
         self.proc = sched.env.process(self._run())
 
@@ -145,8 +146,8 @@ class _Cohort:
         self.in_flight.append(env.process(_flush()))
 
     def remove(self, member_id):
-        on_flush = self.members.pop(member_id)
-        self.leavers[member_id] = (self.rounds_armed, on_flush)
+        payload = self.members.pop(member_id)
+        self.leavers[member_id] = (self.rounds_armed, payload)
         if not self.members and not self.stop.triggered:
             # Event elision: wake the sleeping loop so an empty cohort
             # exits now instead of at its next interval boundary.
@@ -155,6 +156,7 @@ class _Cohort:
     def settle_credits(self):
         """Credit each member, current or departed, its completed rounds."""
         sched = self.sched
+        on_flush = sched.on_flush
         dirty = self.plan[1]
         completed_prefix = [0]
         for flag in self.flags:
@@ -164,16 +166,16 @@ class _Cohort:
         fold = [0.0]
         for _ in range(completed_prefix[-1]):
             fold.append(fold[-1] + dirty)
-        enrolled = [(member_id, self.rounds_armed, on_flush)
-                    for member_id, on_flush in self.members.items()]
-        enrolled.extend((member_id, rounds, on_flush) for member_id,
-                        (rounds, on_flush) in self.leavers.items())
-        for member_id, rounds, on_flush in enrolled:
+        enrolled = [(member_id, self.rounds_armed, payload)
+                    for member_id, payload in self.members.items()]
+        enrolled.extend((member_id, rounds, payload) for member_id,
+                        (rounds, payload) in self.leavers.items())
+        for member_id, rounds, payload in enrolled:
             total = fold[completed_prefix[rounds]]
             sched.flushed[member_id] = \
                 sched.flushed.get(member_id, 0.0) + total
             if on_flush is not None and total > 0:
-                on_flush(total)
+                on_flush(member_id, payload, total)
 
 
 class GroupCheckpointScheduler:
@@ -187,15 +189,21 @@ class GroupCheckpointScheduler:
         Transfer facade (``.transfer(nbytes, rate_cap=...)`` returning a
         completion event) — a ``FairShareLink`` or a backup server's
         ``ingest``.
+    on_flush:
+        Optional ``on_flush(member_id, payload, flushed_bytes)``, called
+        once per member with a positive total at settle; ``payload`` is
+        the value the member joined with.  One callback serves every
+        member, so a fleet enrolls without a closure per VM.
 
     Rounds cost O(1) regardless of cohort size; per-member totals
-    (:attr:`flushed`, and each member's ``on_flush``) are settled once,
-    by :meth:`settle` or :meth:`settle_now`.
+    (:attr:`flushed`, and ``on_flush``) are settled once, by
+    :meth:`settle` or :meth:`settle_now`.
     """
 
-    def __init__(self, env, backup_link):
+    def __init__(self, env, backup_link, on_flush=None):
         self.env = env
         self.link = backup_link
+        self.on_flush = on_flush
         #: member_id -> cumulative flushed bytes (filled at settle).
         self.flushed = {}
         #: (join_time, plan) -> open cohort.
@@ -206,11 +214,13 @@ class GroupCheckpointScheduler:
         self.cohorts_created = 0
         self.flows_issued = 0
 
-    def join(self, member_id, stream, on_flush=None):
+    def join(self, member_id, stream, payload=None):
         """Enroll a stream; returns the cohort it landed in.
 
         Members with identical plans joining at the same instant share
         a cohort; everyone else gets their own (exact per-VM mode).
+        ``payload`` is handed back to the scheduler's ``on_flush`` with
+        the member's settled total.
         """
         if member_id in self._members:
             raise ValueError(f"{member_id} already enrolled")
@@ -222,7 +232,7 @@ class GroupCheckpointScheduler:
             self._open[key] = cohort
             self._all_cohorts.append(cohort)
             self.cohorts_created += 1
-        cohort.members[member_id] = on_flush
+        cohort.members[member_id] = payload
         self._members[member_id] = cohort
         return cohort
 
@@ -231,7 +241,7 @@ class GroupCheckpointScheduler:
 
         Rounds already in flight still credit it (matching a per-VM
         stream draining its in-flight flushes after its stop event);
-        its ``on_flush`` receives them at settle.
+        ``on_flush`` receives them at settle.
         """
         cohort = self._members.pop(member_id, None)
         if cohort is not None:

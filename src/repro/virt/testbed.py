@@ -14,6 +14,8 @@ silently.  It is also the closest thing in the reproduction to the
 paper's physical end-to-end EC2 experiments.
 """
 
+import functools
+
 from repro.backup.scheduler import RestoreScheduler
 from repro.backup.server import BackupServer
 from repro.backup.store import CheckpointStore
@@ -80,22 +82,21 @@ class MicroTestbed:
     def start_streams(self):
         """Begin steady checkpointing (per-VM processes or one cohort)."""
         if self.grouped:
-            self._group = GroupCheckpointScheduler(self.env, self.ingest)
+            self._group = GroupCheckpointScheduler(
+                self.env, self.ingest, on_flush=self._account)
             for vm in self.vms:
-                def _account(flushed, vm_id=vm.id):
-                    self.flushed_bytes[vm_id] += flushed
-                    self.server.store.commit(vm_id, flushed)
-                self._group.join(vm.id, self.streams[vm.id],
-                                 on_flush=_account)
+                self._group.join(vm.id, self.streams[vm.id])
             return
         for vm in self.vms:
             stop = self.env.event()
             self._stops[vm.id] = stop
             stream = self.streams[vm.id]
-            def _account(flushed, vm_id=vm.id):
-                self.flushed_bytes[vm_id] += flushed
-                self.server.store.commit(vm_id, flushed)
-            stream.run(self.env, self.ingest, stop, on_flush=_account)
+            stream.run(self.env, self.ingest, stop,
+                       on_flush=functools.partial(self._account, vm.id, None))
+
+    def _account(self, vm_id, _payload, flushed):
+        self.flushed_bytes[vm_id] += flushed
+        self.server.store.commit(vm_id, flushed)
 
     def stop_streams(self):
         if self._group is not None:

@@ -7,6 +7,34 @@ from repro.virt.memory import MemoryModel
 
 _IDS = count(1)
 
+#: The latest ``(time, state)`` entry made for each state.  Entries are
+#: immutable, so VMs that enter a state at the same clock reading (the
+#: same ``env.now`` object) share one: a bulk boot logs one PROVISIONING
+#: and one RUNNING entry for the whole fleet, not two tuples per VM.
+_LAST_ENTRY = {}
+
+
+def _log_entry(now, state):
+    """The ``(now, state)`` log entry, shared with same-instant peers."""
+    entry = _LAST_ENTRY.get(state)
+    if entry is None or entry[0] is not now:
+        entry = _LAST_ENTRY[state] = (now, state)
+    return entry
+
+
+def default_memory(itype, workload=None):
+    """The memory model of a nested VM sold as ``itype``.
+
+    The workload's dirtying profile if it has one, else the default
+    2000 pages/s.  The nested hypervisor and dom0 take a slice of the
+    host's RAM; the paper's m3.medium nested VMs expose roughly half
+    the host's 3.75 GiB to the guest.
+    """
+    guest_bytes = int(itype.memory_gib * 0.45 * (1024 ** 3))
+    if workload is not None:
+        return workload.memory_model(guest_bytes)
+    return MemoryModel(total_bytes=guest_bytes, write_rate_pages=2000.0)
+
 
 class VMState(enum.Enum):
     """Lifecycle of a nested VM as SpotCheck's controller sees it."""
@@ -40,20 +68,23 @@ class NestedVM:
         The VPC address that follows the VM across migrations.
     """
 
+    # Slotted: a fleet holds one per VM, and without a per-instance
+    # ``__dict__`` each costs one GC-tracked object on every supported
+    # Python, not two before 3.11.  ``_migration_busy`` stays unset
+    # until the VM's first migration (read with a ``getattr`` default).
+    __slots__ = ("env", "id", "itype", "customer", "workload", "memory",
+                 "state", "host", "private_ip", "eni", "volume",
+                 "backup_assignment", "checkpoint_stream", "created_at",
+                 "state_log", "_state_listeners", "_migration_busy")
+
     def __init__(self, env, itype, memory=None, workload=None, customer=None):
         self.env = env
         self.id = f"nvm-{next(_IDS):06x}"
         self.itype = itype
         self.customer = customer
         self.workload = workload
-        if memory is None:
-            if workload is not None:
-                memory = workload.memory_model(self._default_guest_bytes())
-            else:
-                memory = MemoryModel(
-                    total_bytes=self._default_guest_bytes(),
-                    write_rate_pages=2000.0)
-        self.memory = memory
+        self.memory = memory if memory is not None else \
+            default_memory(itype, workload)
         self.state = VMState.PROVISIONING
         self.host = None
         self.private_ip = None
@@ -62,15 +93,10 @@ class NestedVM:
         self.backup_assignment = None
         self.checkpoint_stream = None
         self.created_at = env.now
-        #: (time, state) transition log for availability accounting.
-        self.state_log = [(env.now, VMState.PROVISIONING)]
+        #: (time, state) transition log for availability accounting;
+        #: entries may be shared with other VMs (see :func:`_log_entry`).
+        self.state_log = [_log_entry(env.now, VMState.PROVISIONING)]
         self._state_listeners = None
-
-    def _default_guest_bytes(self):
-        # The nested hypervisor and dom0 take a slice of the host's RAM;
-        # the paper's m3.medium nested VMs expose roughly half the
-        # host's 3.75 GiB to the guest.
-        return int(self.itype.memory_gib * 0.45 * (1024 ** 3))
 
     def on_state_change(self, callback):
         """Call ``callback(vm, old_state, new_state)`` on transitions.
@@ -90,7 +116,7 @@ class NestedVM:
             raise ValueError(f"{self.id} is terminated")
         old_state = self.state
         self.state = state
-        self.state_log.append((self.env.now, state))
+        self.state_log.append(_log_entry(self.env.now, state))
         if self._state_listeners:
             for callback in self._state_listeners:
                 callback(self, old_state, state)

@@ -125,18 +125,23 @@ class FleetMix:
 
         The first ``counts[0]`` calls produce class 0, the next block
         class 1, and so on; calls past ``total`` repeat the last class
-        (defensive — provisioning never overruns its request).
+        (defensive — provisioning never overruns its request).  Each
+        class is one shared :class:`WriteScaledWorkload`, handed to
+        every VM of the class: workloads are immutable, and
+        :meth:`SpotCheckController.provision_fleet
+        <repro.core.controller.SpotCheckController.provision_fleet>`
+        keys its per-class boot cache by the workload object.
         """
         counts = self.counts(total)
         schedule = []
         for entry, count in zip(self.classes, counts):
-            schedule.extend([entry.factor] * count)
+            schedule.extend([WriteScaledWorkload(entry.factor)] * count)
         state = {"next": 0}
 
         def factory():
             index = min(state["next"], len(schedule) - 1)
             state["next"] += 1
-            return WriteScaledWorkload(schedule[index])
+            return schedule[index]
 
         return factory
 

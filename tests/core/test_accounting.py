@@ -2,13 +2,16 @@
 
 import pytest
 
+from repro.cloud import billing
 from repro.cloud.api import CloudApi
 from repro.cloud.instance_types import M3_CATALOG
 from repro.cloud.instances import Market
 from repro.core.accounting import AccountingLedger
+from repro.experiments.scenario import PolicySimulation, ScenarioConfig
 from repro.virt.vm import NestedVM
 
 from tests.conftest import flat_trace, run_process
+from tests.core.test_provision_fleet import build, provision
 
 MEDIUM = M3_CATALOG.get("m3.medium")
 
@@ -192,3 +195,90 @@ class TestStorms:
                     "degradation_pct", "migrations", "revocation_events",
                     "state_loss_events", "storm_histogram"):
             assert key in summary
+
+
+def unmemoized_reductions(ledger, api):
+    """The summary's cost and availability figures, one reduction per
+    metric: every lifetime sum and every open accrual recomputed at
+    each use, in the ledger's addition order."""
+
+    def accrued(instance):
+        if instance.is_spot:
+            return api.billing.accrued_cost(instance, api.marketplace.market(
+                instance.itype, instance.zone))
+        return api.billing.accrued_cost(instance)
+
+    total = api.billing.total_cost()
+    for instance in api.instances.values():
+        record = api.billing.records.get(instance.id)
+        if record is not None and record.end is None:
+            total += accrued(instance)
+    total += sum(dollars for _label, dollars in ledger.extra_costs)
+    totals = {Market.SPOT: 0.0, Market.ON_DEMAND: 0.0}
+    for instance_id, record in api.billing.records.items():
+        if record.end is not None:
+            totals[record.market] += record.cost
+        else:
+            instance = api.instances[instance_id]
+            source = Market.SPOT if instance.is_spot else Market.ON_DEMAND
+            totals[source] += accrued(instance)
+    vm_hours = ledger.total_vm_seconds() / 3600.0
+    unavailability = (ledger.total_downtime_s() / ledger.total_vm_seconds()
+                      if ledger.total_vm_seconds() else 0.0)
+    degradation = (ledger.total_degraded_s() / ledger.total_vm_seconds()
+                   if ledger.total_vm_seconds() else 0.0)
+    return {
+        "vm_hours": vm_hours,
+        "cost_per_vm_hour": total / vm_hours if vm_hours else 0.0,
+        "availability": 1.0 - unavailability,
+        "unavailability_pct": 100.0 * unavailability,
+        "degradation_pct": 100.0 * degradation,
+        "cost_breakdown": {
+            "spot": totals[Market.SPOT],
+            "on-demand": totals[Market.ON_DEMAND],
+            "backup": sum(dollars for _label, dollars in ledger.extra_costs)},
+    }
+
+
+def counted_summary(monkeypatch, controller):
+    """``controller.summary()`` and the windows it integrated."""
+    windows = []
+    integrate = billing.integrate_trace
+
+    def counting(times, prices, start, end):
+        windows.append((id(times), start, end))
+        return integrate(times, prices, start, end)
+
+    monkeypatch.setattr(billing, "integrate_trace", counting)
+    summary = controller.summary()
+    monkeypatch.setattr(billing, "integrate_trace", integrate)
+    return summary, windows
+
+
+class TestSummaryOnePass:
+    """``summary()`` sums the lifetimes once and accrues each open
+    record once, yet every figure is bit-identical to the reductions
+    done one metric at a time."""
+
+    def check(self, monkeypatch, controller):
+        summary, windows = counted_summary(monkeypatch, controller)
+        expected = unmemoized_reductions(controller.ledger, controller.api)
+        assert {key: summary[key] for key in expected} == expected
+        assert len(windows) == len(set(windows))
+        return windows
+
+    def test_fleet_cell(self, monkeypatch):
+        env, api, controller = build()
+        provision(env, controller, 200)
+        env.run(until=env.now + 6 * 3600.0)
+        controller.finalize()
+        windows = self.check(monkeypatch, controller)
+        # 25 hosts booted together share one accrual window.
+        assert len(windows) == 1
+
+    def test_paper_grid_cell(self, monkeypatch):
+        config = ScenarioConfig(policy="4P-COST", mechanism="spotcheck-lazy",
+                                seed=1, days=14.0, vms=10)
+        _, controller = PolicySimulation(config).run(return_controller=True)
+        assert controller.api.billing.records
+        self.check(monkeypatch, controller)

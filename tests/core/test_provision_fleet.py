@@ -1,6 +1,8 @@
 """The bulk fleet-provisioning path and its steady-flush wiring."""
 
+import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import pytest
@@ -11,9 +13,11 @@ from repro.cloud.instances import Market
 from repro.cloud.zones import default_region
 from repro.core.config import SpotCheckConfig
 from repro.core.controller import SpotCheckController
+from repro.core.shard import fleet_backup_spec, steady_rate_bps
 from repro.sim.kernel import Environment
 from repro.traces.archive import PriceTrace, TraceArchive
 from repro.workloads import default_fleet_mix
+from repro.workloads.mix import WriteScaledWorkload
 
 DAY = 24 * 3600.0
 
@@ -212,3 +216,124 @@ class TestCollectorPause:
         assert first() is not None
         boot_cell()
         assert first() is None
+
+
+def fresh_workload_factory(mix, total):
+    """``mix``'s class schedule, but a fresh workload on every call."""
+    factors = [entry.factor for entry, count
+               in zip(mix.classes, mix.counts(total)) for _ in range(count)]
+    calls = iter(factors)
+    return lambda: WriteScaledWorkload(next(calls))
+
+
+def fleet_config(n_vms):
+    """One backup server sized, as the fleet cells size it, to carry
+    ``n_vms`` steady streams without a backlog."""
+    config = SpotCheckConfig(vms_per_backup=n_vms,
+                             steady_checkpoint_flush=True)
+    config.backup_spec, _ = fleet_backup_spec(
+        n_vms, steady_rate_bps(Environment(), config))
+    return config
+
+
+def run_cell(n_vms, factory):
+    """Boot ``n_vms`` with ``factory``, run a day, finalize."""
+    env, api, controller = build(fleet_config(n_vms))
+    _, vms = provision(env, controller, n_vms, workload_factory=factory)
+    env.run(until=env.now + DAY)
+    controller.finalize()
+    return env, controller, vms
+
+
+def outcome(env, controller, vms):
+    images = [vm.backup_assignment.store.image(vm.id) for vm in vms]
+    return {"summary": controller.summary(total_vms=len(vms)),
+            "events": env.events_processed,
+            "flush": controller.migrations.flush_drive_stats(),
+            "images": [(image.commits, image.committed_bytes)
+                       for image in images]}
+
+
+class TestSharedClassKits:
+    """Each workload class's memory model, checkpoint stream and plan
+    are built once and shared by its VMs; the run is the one a fresh
+    workload, and so a fresh memory model and stream, per VM gives."""
+
+    N_VMS = 2_000
+
+    def test_mix_cell_matches_fresh_workloads(self):
+        mix = default_fleet_mix(classes=8)
+        shared = run_cell(self.N_VMS, mix.workload_factory(self.N_VMS))
+        fresh = run_cell(self.N_VMS,
+                         fresh_workload_factory(mix, self.N_VMS))
+        assert len({id(vm.checkpoint_stream) for vm in shared[2]}) == 8
+        assert len({id(vm.checkpoint_stream) for vm in fresh[2]}) == \
+            self.N_VMS
+        assert outcome(*shared) == outcome(*fresh)
+
+    def test_default_profile_cell_shares_one_kit(self):
+        """``workload=None`` (the sharded cells' path) shares one memory
+        model and stream, and matches the base mix class, whose write
+        rate is the default profile's."""
+        default = run_cell(self.N_VMS, None)
+        base = run_cell(self.N_VMS,
+                        lambda: WriteScaledWorkload(1.0))
+        vms = default[2]
+        assert len({id(vm.memory) for vm in vms}) == 1
+        assert len({id(vm.checkpoint_stream) for vm in vms}) == 1
+        assert outcome(*default) == outcome(*base)
+
+    def test_shared_objects_stay_unmutated(self):
+        env, api, controller = build(fleet_config(self.N_VMS))
+        factory = default_fleet_mix(classes=8).workload_factory(self.N_VMS)
+        _, vms = provision(env, controller, self.N_VMS,
+                           workload_factory=factory)
+        first = vms[0]
+        memory, stream, workload = (first.memory, first.checkpoint_stream,
+                                    first.workload)
+        peers = [vm for vm in vms if vm.workload is workload]
+        assert len(peers) == self.N_VMS // 8
+        assert all(vm.memory is memory and vm.checkpoint_stream is stream
+                   for vm in peers)
+        before = (dataclasses.asdict(memory), dict(vars(stream)),
+                  dict(vars(workload)))
+        env.run(until=env.now + DAY)
+        controller.finalize()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            memory.write_rate_pages = 0.0
+        assert (dataclasses.asdict(memory), dict(vars(stream)),
+                dict(vars(workload))) == before
+        assert stream.memory is memory
+
+
+class TestFootprint:
+    """What one booted VM leaves alive, in counts and traced bytes; a
+    tier-1 guard in the style of :class:`TestCollectorPause`."""
+
+    def test_20k_vm_boot_per_vm_footprint(self, restore_gc):
+        n_vms = 20_000
+        config = SpotCheckConfig(vms_per_backup=n_vms,
+                                 steady_checkpoint_flush=True)
+        env, api, controller = build(config)
+        customer = controller.start_customer("fleet")
+        factory = default_fleet_mix(classes=8).workload_factory(n_vms)
+        gc.unfreeze()
+        gc.collect()
+        objects_before = len(gc.get_objects())
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        bytes_before = tracemalloc.get_traced_memory()[0]
+        try:
+            vms = env.run(until=controller.provision_fleet(
+                customer, n_vms, workload_factory=factory))
+            bytes_after = tracemalloc.get_traced_memory()[0]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        gc.unfreeze()
+        objects_per_vm = (len(gc.get_objects()) - objects_before) / n_vms
+        bytes_per_vm = (bytes_after - bytes_before) / n_vms
+        assert len(vms) == n_vms
+        assert objects_per_vm <= 8.0, objects_per_vm
+        assert bytes_per_vm <= 1200.0, bytes_per_vm

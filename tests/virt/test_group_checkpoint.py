@@ -152,23 +152,27 @@ class TestCohorts:
         assert sched.flushed["b"] == pytest.approx(6 * dirty)
 
     def test_leaver_credited_through_on_flush_at_settle(self):
-        """A leaver's completed rounds reach its ``on_flush`` at settle,
-        folded into one call, just as they reach :attr:`flushed`."""
+        """A leaver's completed rounds reach ``on_flush`` at settle,
+        folded into one call with its payload, just as they reach
+        :attr:`flushed`."""
         env = Environment(seed=5)
-        sched = make_scheduler(env)
+        calls = {"a": [], "b": []}
+        sched = GroupCheckpointScheduler(
+            env, BackupServer(env).ingest,
+            on_flush=lambda member_id, payload, flushed:
+                calls[member_id].append((payload, flushed)))
         _, stream_a = make_stream(env)
         _, stream_b = make_stream(env)
-        calls = {"a": [], "b": []}
-        cohort = sched.join("a", stream_a, on_flush=calls["a"].append)
-        sched.join("b", stream_b, on_flush=calls["b"].append)
+        cohort = sched.join("a", stream_a, payload="pin-a")
+        sched.join("b", stream_b, payload="pin-b")
         interval, dirty, _cap = cohort.plan
         env.run(until=2.5 * interval)
         sched.leave("a")
         env.run(until=6.5 * interval)
         sched.settle_now()
-        assert calls["a"] == [dirty + dirty]
+        assert calls["a"] == [("pin-a", dirty + dirty)]
         assert sched.flushed["a"] == dirty + dirty
-        assert len(calls["b"]) == 1
+        assert [payload for payload, _ in calls["b"]] == ["pin-b"]
 
     def test_defer_mode_matches_eager_totals(self):
         """Settled totals equal per-VM streams, which credit every
