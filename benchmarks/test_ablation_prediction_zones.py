@@ -11,9 +11,6 @@
   availability-bid curve instead of exactly the on-demand price.
 """
 
-import pytest
-
-from repro.cloud.api import CloudApi
 from repro.cloud.instance_types import M3_CATALOG
 from repro.cloud.zones import default_region
 from repro.core.config import SpotCheckConfig
@@ -72,18 +69,14 @@ def _zone_spread_run(zone_count):
     medium = M3_CATALOG.get("m3.medium")
     # Raise the medium market's volatility so storms actually occur
     # within the bench span, in every zone independently.
-    params = {}
-    for (type_name, zone_name), base in paper_market_set(
-            [medium], region.zones, zone_jitter=0.0).items():
-        params[(type_name, zone_name)] = market_params_for(
-            medium, volatility_scale=20.0)
+    params = {key: market_params_for(medium, volatility_scale=20.0)
+              for key in paper_market_set([medium], region.zones,
+                                          zone_jitter=0.0)}
     archive = TraceGenerator(seed=SEED).generate_archive(
         params, duration_s=DAYS * 24 * 3600.0)
     policy = "1P-M" if zone_count == 1 else "Z-M"
-    controller = SpotCheckController(
-        env, CloudApi(env, region, M3_CATALOG),
-        SpotCheckConfig(allocation_policy=policy))
-    controller.install_pools(archive, list(region.zones))
+    controller = SpotCheckController.deploy(
+        env, region, archive, SpotCheckConfig(allocation_policy=policy))
 
     def fleet():
         customer = controller.start_customer("fleet")

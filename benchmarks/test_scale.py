@@ -9,8 +9,6 @@ throughput (simulated seconds per wall-clock second).
 
 import time
 
-from repro.cloud.api import CloudApi
-from repro.cloud.instance_types import M3_CATALOG
 from repro.cloud.zones import default_region
 from repro.core.config import SpotCheckConfig
 from repro.core.controller import SpotCheckController
@@ -28,13 +26,10 @@ SEED = 47
 
 def run_at_scale():
     env = Environment(seed=SEED)
-    region = default_region(1)
-    zone = region.zones[0]
-    api = CloudApi(env, region, M3_CATALOG)
-    archive = PolicySimulation.build_archive(SEED, DAYS * 24 * 3600.0)
-    controller = SpotCheckController(
-        env, api, SpotCheckConfig(allocation_policy="4P-ED"))
-    controller.install_pools(archive, zone)
+    controller = SpotCheckController.deploy(
+        env, default_region(1),
+        PolicySimulation.build_archive(SEED, DAYS * 24 * 3600.0),
+        SpotCheckConfig(allocation_policy="4P-ED"))
 
     def fleet():
         for c in range(CUSTOMERS):

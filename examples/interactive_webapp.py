@@ -14,8 +14,6 @@ Run:  python examples/interactive_webapp.py
 
 from dataclasses import replace
 
-from repro.cloud.api import CloudApi
-from repro.cloud.instance_types import M3_CATALOG
 from repro.cloud.zones import default_region
 from repro.core import SpotCheckConfig, SpotCheckController
 from repro.sim import Environment
@@ -31,17 +29,16 @@ APP_SERVERS = 24
 def main():
     env = Environment(seed=7)
     region = default_region(1)
-    zone = region.zones[0]
-    api = CloudApi(env, region, M3_CATALOG)
 
     # A moderately volatile month so migrations actually happen.
     params = replace(M3_MARKET_PARAMS["m3.medium"],
                      spike_rate_per_hour=0.01)
     archive = TraceArchive([TraceGenerator(seed=7).generate_market(
-        "m3.medium", zone.name, params, duration_s=DAYS * 24 * 3600.0)])
+        "m3.medium", region.zones[0].name, params,
+        duration_s=DAYS * 24 * 3600.0)])
 
-    controller = SpotCheckController(env, api, SpotCheckConfig())
-    controller.install_pools(archive, zone)
+    controller = SpotCheckController.deploy(
+        env, region, archive, SpotCheckConfig())
 
     def fleet():
         customer = controller.start_customer("webshop")

@@ -11,8 +11,6 @@ Run:  python examples/operator_drill.py
 
 import json
 
-from repro.cloud.api import CloudApi
-from repro.cloud.instance_types import M3_CATALOG
 from repro.cloud.zones import default_region
 from repro.core import SpotCheckConfig, SpotCheckController
 from repro.core.inspection import check_invariants, state_snapshot
@@ -38,13 +36,10 @@ def checkpoint(label, controller):
 
 def main():
     env = Environment(seed=21)
-    region = default_region(1)
-    zone = region.zones[0]
-    api = CloudApi(env, region, M3_CATALOG)
     archive = PolicySimulation.build_archive(21, DAYS * 24 * 3600.0)
-    controller = SpotCheckController(
-        env, api, SpotCheckConfig(allocation_policy="4P-ED"))
-    controller.install_pools(archive, zone)
+    controller = SpotCheckController.deploy(
+        env, default_region(1), archive,
+        SpotCheckConfig(allocation_policy="4P-ED"))
 
     def fleet():
         customer = controller.start_customer("prod")

@@ -12,7 +12,6 @@ abates.
 Run:  python examples/quickstart.py
 """
 
-from repro.cloud.api import CloudApi
 from repro.cloud.instance_types import M3_CATALOG
 from repro.cloud.zones import default_region
 from repro.core import SpotCheckConfig, SpotCheckController
@@ -28,8 +27,6 @@ DAYS = 14
 def main():
     env = Environment(seed=42)
     region = default_region(1)
-    zone = region.zones[0]
-    api = CloudApi(env, region, M3_CATALOG)
 
     # Two weeks of synthetic m3.medium spot prices (volatility raised
     # so the quickstart reliably shows a revocation).
@@ -37,11 +34,11 @@ def main():
     params = replace(M3_MARKET_PARAMS["m3.medium"],
                      spike_rate_per_hour=0.02, spike_duration_mean_s=1800.0)
     trace = TraceGenerator(seed=42).generate_market(
-        "m3.medium", zone.name, params, duration_s=DAYS * 24 * 3600.0)
-    archive = TraceArchive([trace])
+        "m3.medium", region.zones[0].name, params,
+        duration_s=DAYS * 24 * 3600.0)
 
-    controller = SpotCheckController(env, api, SpotCheckConfig())
-    controller.install_pools(archive, zone)
+    controller = SpotCheckController.deploy(
+        env, region, TraceArchive([trace]), SpotCheckConfig())
 
     def scenario():
         customer = controller.start_customer("quickstart")

@@ -185,6 +185,26 @@ class AccountingLedger:
         total += sum(dollars for _label, dollars in self.extra_costs)
         return total
 
+    def totals(self, api):
+        """Every sum and share the reports need, each reduced once.
+
+        Accrues each open record once; every value is bit-identical to
+        its per-metric method's.
+        """
+        vm_seconds = self.total_vm_seconds()
+        downtime_s = self.total_downtime_s()
+        degraded_s = self.total_degraded_s()
+        accruals = self._open_accruals(api)
+        return {
+            "vm_seconds": vm_seconds,
+            "downtime_s": downtime_s,
+            "degraded_s": degraded_s,
+            "total_cost": self._total_cost(api, accruals),
+            "cost_breakdown": self._cost_breakdown(api, accruals),
+            "unavailability": _share(downtime_s, vm_seconds),
+            "degradation": _share(degraded_s, vm_seconds),
+        }
+
     def cost_per_vm_hour(self, api):
         """Average cost per nested-VM hour (Figure 10's metric)."""
         return _per_hour(self.total_cost(api), self.total_vm_seconds())
@@ -247,27 +267,19 @@ class AccountingLedger:
         return max(event.vms_displaced for event in self.revocations)
 
     def summary(self, api, total_vms=None):
-        """One-dictionary report used by the benches.
-
-        Sums the VM lifetimes and accrues each open record once, then
-        reduces exactly as the per-metric methods do, so every value is
-        bit-identical to theirs.
-        """
-        vm_seconds = self.total_vm_seconds()
-        accruals = self._open_accruals(api)
-        unavailability = _share(self.total_downtime_s(), vm_seconds)
+        """One-dictionary report used by the benches (from :meth:`totals`)."""
+        totals = self.totals(api)
+        vm_seconds = totals["vm_seconds"]
         report = {
             "vm_hours": vm_seconds / 3600.0,
-            "cost_per_vm_hour": _per_hour(
-                self._total_cost(api, accruals), vm_seconds),
-            "availability": 1.0 - unavailability,
-            "unavailability_pct": 100.0 * unavailability,
-            "degradation_pct": 100.0 * _share(self.total_degraded_s(),
-                                              vm_seconds),
+            "cost_per_vm_hour": _per_hour(totals["total_cost"], vm_seconds),
+            "availability": 1.0 - totals["unavailability"],
+            "unavailability_pct": 100.0 * totals["unavailability"],
+            "degradation_pct": 100.0 * totals["degradation"],
             "migrations": len(self.migrations),
             "revocation_events": len(self.revocations),
             "state_loss_events": len(self.state_loss_events()),
-            "cost_breakdown": self._cost_breakdown(api, accruals),
+            "cost_breakdown": totals["cost_breakdown"],
         }
         if total_vms:
             report["storm_histogram"] = self.storm_histogram(total_vms)

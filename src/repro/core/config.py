@@ -41,7 +41,8 @@ class SpotCheckConfig:
     backup_spec:
         Backup-server capacity model.
     vms_per_backup:
-        Assignment cap per backup server (the paper uses 35-40).
+        Assignment cap per backup server (the paper uses 35-40); a
+        server never takes more than its ``max_checkpoint_vms``.
     hot_spares:
         Number of idle on-demand hosts kept as immediate migration
         destinations (0 disables; acquisition is then lazy).

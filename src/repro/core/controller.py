@@ -12,14 +12,17 @@ recoveries trigger live migrations back to spot.
 import gc
 from contextlib import contextmanager
 
+from repro.cloud.api import CloudApi
 from repro.cloud.errors import (
     ApiError,
     BidTooLow,
     CapacityError,
     InvalidOperation,
 )
+from repro.cloud.instance_types import M3_CATALOG
 from repro.cloud.instances import InstanceState, Market
 from repro.cloud.spot_market import PriceWatch
+from repro.faults import FaultInjector
 from repro.faults.retry import retry_call
 from repro.core.accounting import AccountingLedger
 from repro.core.config import SpotCheckConfig
@@ -146,7 +149,9 @@ class SpotCheckController:
         #: instead of the obs bus (which would pin markets to the
         #: per-point step drive).
         self.on_storm = None
-        #: Optional :class:`~repro.traffic.engine.TrafficEngine`.
+        #: Optional :class:`~repro.traffic.engine.TrafficEngine` scoring
+        #: the customers; flushed from :meth:`finalize`, so its ledgers
+        #: are complete even if the caller stops before its horizon.
         self.traffic = None
         self.predictor = None
         if self.config.predictive_migration:
@@ -154,6 +159,26 @@ class SpotCheckController:
             self.predictor = RevocationPredictor(
                 level_fraction=self.config.prediction_level_fraction,
                 jump_factor=self.config.prediction_jump_factor)
+
+    @classmethod
+    def deploy(cls, env, region, archive, config=None, faults=None):
+        """Build a deployment over every zone of ``region``; returns it.
+
+        The one stack builder: a fault injector only for an enabled
+        ``faults`` plan, the m3 :class:`~repro.cloud.api.CloudApi`
+        (``controller.api``, injector at ``controller.api.faults``),
+        the controller with a pool per archived market of each zone,
+        then the plan's crash driver.
+        """
+        injector = None
+        if faults is not None and faults.enabled:
+            injector = FaultInjector(env, faults)
+        api = CloudApi(env, region, M3_CATALOG, faults=injector)
+        controller = cls(env, api, config)
+        controller.install_pools(archive, list(region.zones))
+        if injector is not None:
+            injector.install_backup_crashes(controller)
+        return controller
 
     def _make_allocation(self):
         name = self.config.allocation_policy
@@ -271,15 +296,6 @@ class SpotCheckController:
         if market is not None:
             market.rearm()
 
-    def attach_traffic(self, engine):
-        """Score this deployment's customers with a traffic engine.
-
-        The engine is flushed from :meth:`finalize`, so ledgers are
-        complete even when the caller tears the simulation down before
-        the engine's own horizon.
-        """
-        self.traffic = engine
-
     def start_customer(self, name=None, traffic=None):
         """Register a customer; ``traffic`` (a ``CustomerTraffic``)
         puts them under the attached traffic engine's SLA watch."""
@@ -288,7 +304,7 @@ class SpotCheckController:
         if traffic is not None:
             if self.traffic is None:
                 raise ValueError(
-                    "attach_traffic() before start_customer(traffic=...)")
+                    "set traffic before start_customer(traffic=...)")
             self.traffic.watch(customer, traffic)
         return customer
 
@@ -396,16 +412,11 @@ class SpotCheckController:
             host = od_pool.host_with_free_slot()
             if host is None:
                 try:
-                    instance = yield from self._api_retry(
-                        lambda: self.api.run_instance(
-                            self.slot_itype, zone, Market.ON_DEMAND),
-                        "start_on_demand_instance")
+                    host = yield from self._launch_on_demand_host(zone)
                 except (ApiError, CapacityError) as exc:
                     self._note_degraded("request.deferred", exc)
                     yield self.env.timeout(self.config.retry.max_delay_s)
                     continue
-                host = HostVM(self.env, instance, self.slot_itype, slots=1)
-                od_pool.add_host(host)
             host.hypervisor.reserve_slot()
             try:
                 yield from self._wire_networking(vm, customer, host)
@@ -561,13 +572,7 @@ class SpotCheckController:
                     customer.add_vm(vm)
                     self.ledger.vm_created(vm)
                     if not (self.config.live_migration_only or live_fits):
-                        backup = self.backup_pool.assign(
-                            vm.id, rate, cap=self.config.vms_per_backup)
-                        vm.backup_assignment = backup
-                        backup.store.open_image(vm.id, vm.memory.total_bytes)
-                        backup.store.seed_full_image(vm.id)
-                        if self.config.steady_checkpoint_flush:
-                            self.migrations.steady_flush_join(vm, backup)
+                        self._protect(vm, rate)
                     booted += 1
                     vms.append(vm)
         if obs is not None:
@@ -604,29 +609,39 @@ class SpotCheckController:
             host.hypervisor.reserve_slot()
             return host, True
         try:
-            instance = yield from self._api_retry(
-                lambda: self.api.run_instance(
-                    pool.itype, pool.zone, Market.SPOT, bid=pool.bid),
-                "start_spot_instance")
+            host = yield from self._launch_spot_host(pool)
         except (BidTooLow, CapacityError):
-            od_pool = self.pools.on_demand_pool(
-                self.slot_itype.name, pool.zone.name)
-            host = od_pool.host_with_free_slot()
+            host = self.pools.on_demand_pool(
+                self.slot_itype.name, pool.zone.name).host_with_free_slot()
             if host is None:
-                instance = yield from self._api_retry(
-                    lambda: self.api.run_instance(
-                        self.slot_itype, pool.zone, Market.ON_DEMAND),
-                    "start_on_demand_instance")
-                host = HostVM(self.env, instance, self.slot_itype, slots=1)
-                od_pool.add_host(host)
+                host = yield from self._launch_on_demand_host(pool.zone)
             host.hypervisor.reserve_slot()
             return host, False
+        host.hypervisor.reserve_slot()
+        return host, True
+
+    def _launch_spot_host(self, pool):
+        """Process body: rent one spot host for ``pool`` and watch it."""
+        instance = yield from self._api_retry(
+            lambda: self.api.run_instance(
+                pool.itype, pool.zone, Market.SPOT, bid=pool.bid),
+            "start_spot_instance")
         host = HostVM(self.env, instance, self.slot_itype,
                       slots=self._slots_per_host(pool.itype))
-        host.hypervisor.reserve_slot()
         pool.add_host(host)
         self.env.process(self._watch_spot_host(host, pool))
-        return host, True
+        return host
+
+    def _launch_on_demand_host(self, zone):
+        """Process body: rent one single-slot on-demand host in ``zone``."""
+        instance = yield from self._api_retry(
+            lambda: self.api.run_instance(
+                self.slot_itype, zone, Market.ON_DEMAND),
+            "start_on_demand_instance")
+        host = HostVM(self.env, instance, self.slot_itype, slots=1)
+        self.pools.on_demand_pool(
+            self.slot_itype.name, zone.name).add_host(host)
+        return host
 
     def _wire_networking(self, vm, customer, host):
         subnet = customer.subnets.get(host.zone.name)
@@ -663,12 +678,23 @@ class SpotCheckController:
         warning = self.api.marketplace.warning_period
         if self.migrations.live_fits_warning(vm.memory, warning):
             return  # Small-VM exception: live migration suffices.
+        self._protect(vm, vm.checkpoint_stream.stream_rate_bps())
+
+    def _protect(self, vm, rate_bps, reseed=False):
+        """Assign ``vm`` a backup server and open its image there.
+
+        The full image is seeded at once, or with ``reseed`` streamed
+        in the background (:meth:`_reseed`); with steady flush on, the
+        VM joins the new server's flush cohort either way.
+        """
         backup = self.backup_pool.assign(
-            vm.id, vm.checkpoint_stream.stream_rate_bps(),
-            cap=self.config.vms_per_backup)
+            vm.id, rate_bps, cap=self.config.vms_per_backup)
         vm.backup_assignment = backup
         backup.store.open_image(vm.id, vm.memory.total_bytes)
-        backup.store.seed_full_image(vm.id)
+        if reseed:
+            self.env.process(self._reseed(vm, backup))
+        else:
+            backup.store.seed_full_image(vm.id)
         if self.config.steady_checkpoint_flush:
             self.migrations.steady_flush_join(vm, backup)
 
@@ -704,7 +730,8 @@ class SpotCheckController:
 
         Every VM it protected is re-assigned to a healthy (or freshly
         provisioned) backup server and re-seeded from its own live
-        memory.  Until the new full copy completes, the VM is exposed:
+        memory; with steady flush on, each re-enrolls its flush on the
+        new server.  Until the new full copy completes, the VM is exposed:
         a revocation in that window falls back to an in-warning live
         migration, which risks (but does not necessarily cause) state
         loss — the invariant "no state loss" holds again as soon as the
@@ -720,18 +747,17 @@ class SpotCheckController:
         victims = [vm for vm in self.all_vms()
                    if vm.backup_assignment is server]
         for vm in victims:
+            # Leave the dead server's flush cohort first: a member left
+            # behind would issue its next round to the failed datapath.
+            self.migrations.steady_flush_leave(vm.id)
             self.backup_pool.release(vm.id, server)
             vm.backup_assignment = None
             if vm.is_running and vm.host is not None and \
                     vm.host.instance.is_spot:
                 # Reassign immediately; the fresh full copy streams in
                 # the background and completes after transfer time.
-                backup = self.backup_pool.assign(
-                    vm.id, vm.checkpoint_stream.stream_rate_bps(),
-                    cap=self.config.vms_per_backup)
-                vm.backup_assignment = backup
-                backup.store.open_image(vm.id, vm.memory.total_bytes)
-                self.env.process(self._reseed(vm, backup))
+                self._protect(vm, vm.checkpoint_stream.stream_rate_bps(),
+                              reseed=True)
         return victims
 
     def _reseed(self, vm, backup):
@@ -805,19 +831,12 @@ class SpotCheckController:
         doubles the number of migrations")."""
         zone = vm.volume.zone if vm.volume is not None else self.zone
         try:
-            instance = yield from self._api_retry(
-                lambda: self.api.run_instance(
-                    vm.itype, zone, Market.ON_DEMAND),
-                "start_on_demand_instance")
+            host = yield from self._launch_on_demand_host(zone)
         except (CapacityError, ApiError) as exc:
             if isinstance(exc, ApiError):
                 self._note_degraded("rebalance.start", exc)
             return  # Stay staged; the return-to-spot path will move it.
-        od_pool = self.pools.on_demand_pool(
-            self.slot_itype.name, zone.name)
-        host = HostVM(self.env, instance, self.slot_itype, slots=1)
         host.hypervisor.reserve_slot()
-        od_pool.add_host(host)
         source_host = vm.host
         moved = yield self.migrations.live_migrate(
             vm, source_host, cause="rebalance", dest_host=host)
@@ -933,18 +952,10 @@ class SpotCheckController:
             host = dest_pool.host_with_free_slot()
             if host is None:
                 try:
-                    instance = yield from self._api_retry(
-                        lambda: self.api.run_instance(
-                            dest_pool.itype, dest_pool.zone, Market.SPOT,
-                            bid=dest_pool.bid),
-                        "start_spot_instance")
+                    host = yield from self._launch_spot_host(dest_pool)
                 except (BidTooLow, CapacityError, ApiError) as exc:
                     self._note_degraded("rebalance.start_spot", exc)
                     return
-                host = HostVM(self.env, instance, self.slot_itype,
-                              slots=self._slots_per_host(dest_pool.itype))
-                dest_pool.add_host(host)
-                self.env.process(self._watch_spot_host(host, dest_pool))
             host.hypervisor.reserve_slot()
             moved = yield self.migrations.live_migrate(
                 vm, source_host, cause="rebalance", dest_host=host)
@@ -1002,17 +1013,9 @@ class SpotCheckController:
                 host = pool.host_with_free_slot()
                 if host is None:
                     try:
-                        instance = yield from self._api_retry(
-                            lambda: self.api.run_instance(
-                                pool.itype, pool.zone, Market.SPOT,
-                                bid=pool.bid),
-                            "start_spot_instance")
+                        host = yield from self._launch_spot_host(pool)
                     except (BidTooLow, CapacityError, ApiError):
                         return
-                    host = HostVM(self.env, instance, self.slot_itype,
-                                  slots=self._slots_per_host(pool.itype))
-                    pool.add_host(host)
-                    self.env.process(self._watch_spot_host(host, pool))
                 host.hypervisor.reserve_slot()
                 source_host = vm.host
                 moved = yield self.migrations.live_migrate(
@@ -1084,21 +1087,14 @@ class SpotCheckController:
         wakes the process too, so a drained controller goes quiet
         immediately instead of leaking one last poll wakeup.
         """
-        od_pool = self.pools.on_demand_pool(
-            self.slot_itype.name, self.zone.name)
         while not self._finalized:
             refused = False
             while self.spares.deficit > 0 and not self._finalized:
                 try:
-                    instance = yield from self._api_retry(
-                        lambda: self.api.run_instance(
-                            self.slot_itype, self.zone, Market.ON_DEMAND),
-                        "start_on_demand_instance")
+                    host = yield from self._launch_on_demand_host(self.zone)
                 except (CapacityError, ApiError):
                     refused = True
                     break
-                host = HostVM(self.env, instance, self.slot_itype, slots=1)
-                od_pool.add_host(host)
                 self.spares.add_spare(host)
                 self._spares_stats["provisioned"] += 1
             if self._finalized:

@@ -364,7 +364,9 @@ class BackupPool:
             server = self.servers[(self._cursor + offset) % n]
             if getattr(server, "failed", False):
                 continue
-            limit = cap if cap is not None else server.spec.max_checkpoint_vms
+            limit = server.spec.max_checkpoint_vms
+            if cap is not None:
+                limit = min(cap, limit)
             if server.assigned_vms < limit:
                 self._cursor = (self._cursor + offset + 1) % n
                 return server

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 from repro.backup.server import BackupServerSpec
-from repro.cloud.api import CloudApi
 from repro.cloud.instance_types import M3_CATALOG
 from repro.cloud.spot_market import PriceWatch
 from repro.cloud.zones import Region, Zone
@@ -145,17 +144,7 @@ class MarketSimulation:
         seed = derive_seed(
             config.seed, f"market:{spec.type_name}/{spec.zone_name}")
         self.env = env = Environment(seed=seed)
-        zone = Zone(spec.zone_name, spec.region_name)
-        region = Region(name=spec.region_name, zones=[zone])
-        self.zone = zone
 
-        injector = None
-        if config.faults is not None and config.faults.enabled:
-            from repro.faults import FaultInjector
-            injector = FaultInjector(env, config.faults)
-        self.api = api = CloudApi(env, region, M3_CATALOG, faults=injector)
-
-        itype = M3_CATALOG.get(spec.type_name)
         archive = TraceArchive()
         if spec.market_params is not None:
             archive.add(TraceGenerator(seed=config.seed).generate_market(
@@ -165,7 +154,8 @@ class MarketSimulation:
             archive.add(PriceTrace(
                 [0.0, config.duration_s],
                 [spec.calm_price, spec.calm_price],
-                spec.type_name, spec.zone_name, itype.on_demand_price))
+                spec.type_name, spec.zone_name,
+                M3_CATALOG.get(spec.type_name).on_demand_price))
 
         controller_config = SpotCheckConfig(
             hot_spares=config.hot_spares,
@@ -174,16 +164,12 @@ class MarketSimulation:
                             else max(n_vms, 1)),
             steady_checkpoint_flush=config.steady_checkpoint_flush,
         )
-        rate_bps = steady_rate_bps(env, controller_config)
-        spec_backup, self.backup_shards = fleet_backup_spec(
-            max(n_vms, 1), rate_bps)
-        controller_config.backup_spec = spec_backup
-
-        self.controller = SpotCheckController(env, api, controller_config)
-        self.controller.install_pools(archive, zone,
-                                      type_names=[spec.type_name])
-        if injector is not None:
-            injector.install_backup_crashes(self.controller)
+        controller_config.backup_spec, _ = fleet_backup_spec(
+            max(n_vms, 1), steady_rate_bps(env, controller_config))
+        region = Region(spec.region_name,
+                        [Zone(spec.zone_name, spec.region_name)])
+        self.controller = SpotCheckController.deploy(
+            env, region, archive, controller_config, faults=config.faults)
         self.pool = self.controller.pools.spot_pool(
             spec.type_name, spec.zone_name)
         #: The market's workload factory: one deterministic block
@@ -351,28 +337,31 @@ class MarketSimulation:
         controller = self.controller
         controller.finalize()
         ledger = controller.ledger
+        totals = ledger.totals(controller.api)
         summary = {
-            "vm_seconds": ledger.total_vm_seconds(),
-            "downtime_s": ledger.total_downtime_s(),
-            "degraded_s": ledger.total_degraded_s(),
-            "total_cost": ledger.total_cost(self.api),
+            "vm_seconds": totals["vm_seconds"],
+            "downtime_s": totals["downtime_s"],
+            "degraded_s": totals["degraded_s"],
+            "total_cost": totals["total_cost"],
             "migrations": len(ledger.migrations),
             "revocation_events": len(ledger.revocations),
             "state_loss_events": len(ledger.state_loss_events()),
-            "cost_breakdown": ledger.cost_breakdown(self.api),
+            "cost_breakdown": totals["cost_breakdown"],
             "max_concurrent_revocation":
                 ledger.max_concurrent_revocation(),
             "backup_servers": controller.backup_pool.server_count,
         }
-        vm_hours = summary["vm_seconds"] / 3600.0
+        vm_hours = totals["vm_seconds"] / 3600.0
+        unavailability = totals["unavailability"]
+        degradation_pct = 100.0 * totals["degradation"]
         for name, customer in sorted(self.customers.items()):
             self.outbox.put(SlaSegment(
                 stamp=self.outbox.stamp(self.env.now),
                 market_key=self.spec.key, customer=name,
                 vm_hours=vm_hours,
-                availability=ledger.availability(),
-                unavailability_pct=100.0 * ledger.unavailability(),
-                degradation_pct=100.0 * ledger.degradation()))
+                availability=1.0 - unavailability,
+                unavailability_pct=100.0 * unavailability,
+                degradation_pct=degradation_pct))
         return ShardReport(
             stamp=self.outbox.stamp(self.env.now),
             market=self.market_index,

@@ -11,12 +11,10 @@ cell of the grid sees identical prices.
 
 from dataclasses import dataclass, field, replace
 
-from repro.cloud.api import CloudApi
-from repro.cloud.instance_types import M3_CATALOG
 from repro.cloud.zones import default_region
 from repro.core.config import SpotCheckConfig
 from repro.core.controller import SpotCheckController
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultPlan
 from repro.sim.kernel import Environment
 from repro.traces.archive import TraceArchive
 from repro.traces.calibration import M3_MARKET_PARAMS
@@ -139,11 +137,6 @@ class PolicySimulation:
         """
         cfg = self.config
         env = Environment(seed=cfg.seed, obs=obs)
-        region = default_region(cfg.zones)
-        injector = None
-        if cfg.faults is not None and cfg.faults.enabled:
-            injector = FaultInjector(env, cfg.faults)
-        api = CloudApi(env, region, M3_CATALOG, faults=injector)
         archive = self._archive
         if archive is None:
             archive = self.build_archive(
@@ -151,7 +144,7 @@ class PolicySimulation:
                 zones=cfg.zones)
 
         mech, live_only = mechanism_config(cfg.mechanism)
-        controller = SpotCheckController(env, api, SpotCheckConfig(
+        controller_config = SpotCheckConfig(
             allocation_policy=cfg.policy,
             bid_policy=cfg.bid_policy,
             bid_multiple=cfg.bid_multiple,
@@ -164,10 +157,11 @@ class PolicySimulation:
             slicing=cfg.slicing,
             vms_per_backup=cfg.vms_per_backup,
             portfolio=cfg.portfolio,
-        ))
-        controller.install_pools(archive, list(region.zones))
-        if injector is not None:
-            injector.install_backup_crashes(controller)
+        )
+        controller = SpotCheckController.deploy(
+            env, default_region(cfg.zones), archive, controller_config,
+            faults=cfg.faults)
+        injector = controller.api.faults
 
         engine = None
         if cfg.traffic is not None:
@@ -175,7 +169,7 @@ class PolicySimulation:
             engine = TrafficEngine(
                 env, obs=obs,
                 report_interval_s=cfg.traffic.report_interval_s)
-            controller.attach_traffic(engine)
+            controller.traffic = engine
 
         def _fleet():
             if cfg.traffic is None:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cloud import billing
-from repro.cloud.api import CloudApi
 from repro.cloud.instance_types import M3_CATALOG
 from repro.cloud.instances import Market
 from repro.core.accounting import AccountingLedger
@@ -127,9 +126,8 @@ class TestAvailabilityMetrics:
 
 
 class TestCost:
-    def test_total_cost_includes_extras_and_open_records(self, env, region,
+    def test_total_cost_includes_extras_and_open_records(self, env, api,
                                                          zone):
-        api = CloudApi(env, region, M3_CATALOG)
         api.install_market(MEDIUM, zone, flat_trace(0.02))
         ledger = AccountingLedger(env)
         def flow():
@@ -147,8 +145,7 @@ class TestCost:
         assert breakdown["backup"] == 1.5
         assert breakdown["on-demand"] == pytest.approx(0.07, rel=0.01)
 
-    def test_cost_per_vm_hour(self, env, region):
-        api = CloudApi(env, region, M3_CATALOG)
+    def test_cost_per_vm_hour(self, env, api):
         ledger = AccountingLedger(env)
         vm = NestedVM(env, MEDIUM)
         ledger.vm_created(vm)
@@ -157,8 +154,7 @@ class TestCost:
         ledger.add_cost("x", 0.10)
         assert ledger.cost_per_vm_hour(api) == pytest.approx(0.05)
 
-    def test_zero_vm_hours(self, env, region):
-        api = CloudApi(env, region, M3_CATALOG)
+    def test_zero_vm_hours(self, env, api):
         assert AccountingLedger(env).cost_per_vm_hour(api) == 0.0
 
 
@@ -186,8 +182,7 @@ class TestStorms:
         with pytest.raises(ValueError):
             AccountingLedger(env).storm_histogram(total_vms=0)
 
-    def test_summary_keys(self, env, region):
-        api = CloudApi(env, region, M3_CATALOG)
+    def test_summary_keys(self, env, api):
         ledger = AccountingLedger(env)
         env._now = 3600.0
         summary = ledger.summary(api, total_vms=10)

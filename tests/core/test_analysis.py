@@ -10,15 +10,10 @@ from repro.core.analysis import (
     predict_portfolio,
     revocation_probability,
 )
-from repro.traces.archive import PriceTrace
+
+from tests.traces.test_stats import make_trace
 
 DAY = 24 * 3600.0
-
-
-def make_trace(steps, od=0.07):
-    times = [t for t, _ in steps]
-    prices = [p for _, p in steps]
-    return PriceTrace(times, prices, "m3.medium", "z", od)
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backup.server import BackupServer
 from repro.core.config import SpotCheckConfig
 
 from tests.core.test_controller import (
@@ -64,6 +65,27 @@ class TestFailureInjection:
         # The failed server bills only until its failure.
         assert backup_costs[f"backup:{server.id}"] == pytest.approx(
             (failed_at - server.created_at) / 3600.0 * 0.28)
+
+    def test_steady_flush_never_reaches_a_failed_server(self, monkeypatch):
+        """Victims leave the dead server's flush cohort for the new
+        server's: no round is ever issued to the failed datapath."""
+        flows = []
+        commit_flow = BackupServer.commit_flow
+
+        def recording(server, *args, **kwargs):
+            flows.append((server, server.failed))
+            return commit_flow(server, *args, **kwargs)
+
+        monkeypatch.setattr(BackupServer, "commit_flow", recording)
+        env, api, controller, vms = build_quiet(
+            SpotCheckConfig(steady_checkpoint_flush=True))
+        env.run(until=env.now + 600.0)
+        controller.fail_backup_server(vms[0].backup_assignment)
+        env.run(until=env.now + 3 * 3600.0)
+        assert not any(dead for _server, dead in flows)
+        assert (vms[0].backup_assignment, False) in flows
+        stats = controller.migrations.flush_drive_stats()
+        assert (stats["schedulers"], stats["members"]) == (2, len(vms))
 
 
 class TestRevocationDuringReseed:

@@ -253,7 +253,7 @@ class TestRelinquish:
         env, api, controller = build()
         [vm] = launch_fleet(env, controller, count=1)
         host_instance = vm.host.instance
-        env.run(until=env.process(iter_relinquish(controller, vm)))
+        env.run(until=controller.relinquish(vm))
         assert vm.state is VMState.TERMINATED
         assert vm.backup_assignment is None
         assert host_instance.state is InstanceState.TERMINATED
@@ -267,15 +267,9 @@ class TestRelinquish:
         vms = launch_fleet(env, controller, count=4)
         large_vms = [vm for vm in vms if vm.host.itype.name == "m3.large"]
         shared_host = large_vms[0].host
-        env.run(until=env.process(
-            iter_relinquish(controller, large_vms[0])))
+        env.run(until=controller.relinquish(large_vms[0]))
         assert shared_host.instance.is_running
         assert len(shared_host.vms) == 1
-
-
-def iter_relinquish(controller, vm):
-    result = yield controller.relinquish(vm)
-    return result
 
 
 class TestFinalize:

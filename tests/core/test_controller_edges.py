@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cloud.instances import InstanceState, Market
+from repro.cloud.instances import Market
 from repro.core.config import SpotCheckConfig
 from repro.virt.vm import VMState
 from repro.workloads import TpcwWorkload
@@ -11,7 +11,6 @@ from tests.core.test_controller import (
     SPIKE_END,
     SPIKE_START,
     build,
-    iter_relinquish,
     launch_fleet,
     quiet_trace,
     spiky_trace,
@@ -65,7 +64,7 @@ class TestGcAndRelinquishEdges:
         [vm] = launch_fleet(env, controller, count=1)
         env.run(until=SPIKE_START + 500.0)  # now parked on-demand
         assert vm.id in controller._parked
-        env.run(until=env.process(iter_relinquish(controller, vm)))
+        env.run(until=controller.relinquish(vm))
         assert vm.id not in controller._parked
         assert vm.state is VMState.TERMINATED
         od_pool = controller.pools.on_demand_pool("m3.medium", "us-east-1a")
@@ -77,7 +76,7 @@ class TestGcAndRelinquishEdges:
         instance = vm.host.instance
         relinquish_time = env.now + 3600.0
         env.run(until=relinquish_time)
-        env.run(until=env.process(iter_relinquish(controller, vm)))
+        env.run(until=controller.relinquish(vm))
         record = api.billing.records[instance.id]
         assert record.end == pytest.approx(relinquish_time, abs=60.0)
 

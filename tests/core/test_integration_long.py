@@ -3,13 +3,11 @@ market turbulence, across policies, mechanisms, and feature mixes."""
 
 import pytest
 
-from repro.cloud.api import CloudApi
-from repro.cloud.instance_types import M3_CATALOG
 from repro.cloud.zones import default_region
 from repro.core.config import SpotCheckConfig
 from repro.core.controller import SpotCheckController
 from repro.core.inspection import check_invariants
-from repro.experiments.scenario import PolicySimulation, ScenarioConfig
+from repro.experiments.scenario import PolicySimulation
 from repro.sim.kernel import Environment
 from repro.virt.migration.bounded import BoundedMigrationConfig
 from repro.workloads import SpecJbbWorkload, TpcwWorkload
@@ -19,12 +17,9 @@ DAY = 24 * 3600.0
 
 def run_with_checks(config, days=45.0, vms=12, seed=77, checks=6):
     env = Environment(seed=seed)
-    region = default_region(1)
-    zone = region.zones[0]
-    api = CloudApi(env, region, M3_CATALOG)
     archive = PolicySimulation.build_archive(seed, days * DAY)
-    controller = SpotCheckController(env, api, config)
-    controller.install_pools(archive, zone)
+    controller = SpotCheckController.deploy(env, default_region(1), archive,
+                                            config)
 
     def fleet():
         customer = controller.start_customer("fleet")

@@ -1,8 +1,6 @@
 """Multi-customer behaviour: per-customer spreading, isolation,
 per-customer accounting surfaces."""
 
-import pytest
-
 from repro.core.config import SpotCheckConfig
 from repro.virt.vm import VMState
 from repro.workloads import TpcwWorkload
@@ -10,7 +8,6 @@ from repro.workloads import TpcwWorkload
 from tests.core.test_controller import (
     SPIKE_START,
     build,
-    launch_fleet,
     quiet_trace,
 )
 
@@ -95,13 +92,8 @@ class TestIsolation:
         alice = controller.start_customer("alice")
         vms = launch_for(env, controller, alice, 3)
         assert alice.head_vm is vms[0]
-        env.run(until=env.process(iter_rel(controller, vms[0])))
+        env.run(until=controller.relinquish(vms[0]))
         assert alice.head_vm is vms[1]  # head moves on relinquish
-
-
-def iter_rel(controller, vm):
-    result = yield controller.relinquish(vm)
-    return result
 
 
 class TestStormImpactPerCustomer:

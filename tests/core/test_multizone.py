@@ -2,16 +2,15 @@
 
 import pytest
 
-from repro.cloud.api import CloudApi
-from repro.cloud.instance_types import M3_CATALOG
 from repro.cloud.instances import Market
-from repro.cloud.zones import default_region
+from repro.cloud.zones import Region, default_region
 from repro.core.config import SpotCheckConfig
 from repro.core.controller import SpotCheckController
 from repro.sim.kernel import Environment
 from repro.traces.archive import PriceTrace, TraceArchive
 from repro.virt.vm import VMState
-from repro.workloads import TpcwWorkload
+
+from tests.core.test_controller import launch_fleet
 
 DAY = 24 * 3600.0
 SPIKE_START = 50000.0
@@ -31,25 +30,12 @@ def zone_trace(zone_name, spiky=False, od=0.07, duration=10 * DAY):
 def build_multizone(config=None, zone_count=2, spiky_zone=0):
     env = Environment(seed=5)
     region = default_region(zone_count)
-    api = CloudApi(env, region, M3_CATALOG)
-    archive = TraceArchive()
-    for index, zone in enumerate(region.zones):
-        archive.add(zone_trace(zone.name, spiky=(index == spiky_zone)))
-    controller = SpotCheckController(
-        env, api, config or SpotCheckConfig(allocation_policy="Z-M"))
-    controller.install_pools(archive, list(region.zones))
-    return env, api, controller, region
-
-
-def launch(env, controller, count):
-    def flow():
-        customer = controller.start_customer("multi")
-        vms = []
-        for _ in range(count):
-            vms.append((yield controller.request_server(
-                customer, workload=TpcwWorkload())))
-        return vms
-    return env.run(until=env.process(flow()))
+    archive = TraceArchive([zone_trace(zone.name, spiky=(index == spiky_zone))
+                            for index, zone in enumerate(region.zones)])
+    controller = SpotCheckController.deploy(
+        env, region, archive,
+        config or SpotCheckConfig(allocation_policy="Z-M"))
+    return env, controller.api, controller, region
 
 
 class TestInstallation:
@@ -60,18 +46,15 @@ class TestInstallation:
         assert len(controller.zones) == 3
 
     def test_empty_zone_list_rejected(self):
-        env = Environment(seed=5)
-        region = default_region(1)
-        api = CloudApi(env, region, M3_CATALOG)
-        controller = SpotCheckController(env, api, SpotCheckConfig())
         with pytest.raises(ValueError):
-            controller.install_pools(TraceArchive(), [])
+            SpotCheckController.deploy(
+                Environment(seed=5), Region("us-east-1"), TraceArchive())
 
 
 class TestZoneSpread:
     def test_vms_spread_across_zones(self):
         env, api, controller, region = build_multizone(zone_count=2)
-        vms = launch(env, controller, 4)
+        vms = launch_fleet(env, controller, 4)
         zones = {vm.host.zone.name for vm in vms}
         assert len(zones) == 2
         per_zone = [sum(1 for vm in vms if vm.host.zone.name == z.name)
@@ -82,7 +65,7 @@ class TestZoneSpread:
         env, api, controller, region = build_multizone(
             SpotCheckConfig(allocation_policy="Z-M", return_to_spot=False),
             zone_count=2, spiky_zone=0)
-        vms = launch(env, controller, 4)
+        vms = launch_fleet(env, controller, 4)
         env.run(until=SPIKE_START + 600.0)
         displaced = [m for m in controller.ledger.migrations
                      if m.cause == "revocation"]
@@ -93,7 +76,7 @@ class TestZoneSpread:
         env, api, controller, region = build_multizone(
             SpotCheckConfig(allocation_policy="Z-M", return_to_spot=False),
             zone_count=2, spiky_zone=0)
-        vms = launch(env, controller, 4)
+        vms = launch_fleet(env, controller, 4)
         spiky_zone_vms = [vm for vm in vms
                           if vm.host.zone.name == region.zones[0].name]
         env.run(until=SPIKE_START + 600.0)
@@ -108,7 +91,7 @@ class TestZoneSpread:
             SpotCheckConfig(allocation_policy="Z-M",
                             return_holddown_s=600.0),
             zone_count=2, spiky_zone=0)
-        vms = launch(env, controller, 2)
+        vms = launch_fleet(env, controller, 2)
         env.run(until=SPIKE_END + 5000.0)
         for vm in vms:
             assert vm.state is VMState.RUNNING
@@ -118,7 +101,7 @@ class TestZoneSpread:
 
     def test_no_state_loss_multizone(self):
         env, api, controller, region = build_multizone(zone_count=2)
-        launch(env, controller, 4)
+        launch_fleet(env, controller, 4)
         env.run(until=9 * DAY)
         controller.finalize()
         assert controller.ledger.state_loss_events() == []

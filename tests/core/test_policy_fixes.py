@@ -21,6 +21,7 @@ from repro.core.policies.prediction import (
 from repro.core.pools import SpotPool
 from repro.obs import Observability
 from repro.sim.kernel import Environment
+from repro.traces.archive import TraceArchive
 
 from tests.conftest import flat_trace, step_trace
 
@@ -78,17 +79,19 @@ class TestStabilityClock:
         policy = make_allocation_policy("4P-ST", now=lambda: 30 * DAY)
         assert policy.weight(pool) == pytest.approx(1.0)
 
-    def test_controller_builds_clocked_and_hooked_policy(self, env, api):
-        controller = SpotCheckController(
-            env, api, SpotCheckConfig(allocation_policy="4P-ST"))
+    def test_controller_builds_clocked_and_hooked_policy(self, env, region):
+        controller = SpotCheckController.deploy(
+            env, region, TraceArchive(),
+            SpotCheckConfig(allocation_policy="4P-ST"))
         assert controller.allocation._now() == env.now
         assert controller.allocation.on_unclocked is not None
 
-    def test_unclocked_weigh_is_observable(self, api, zone):
+    def test_unclocked_weigh_is_observable(self, region, zone):
         obs = Observability()
         env = Environment(seed=1234, obs=obs)
-        controller = SpotCheckController(
-            env, api, SpotCheckConfig(allocation_policy="4P-ST"))
+        controller = SpotCheckController.deploy(
+            env, region, TraceArchive(),
+            SpotCheckConfig(allocation_policy="4P-ST"))
         policy = controller.allocation
         # Graft the policy into an unclocked state (an externally built
         # policy would arrive like this) and weigh.
@@ -119,9 +122,10 @@ class TestKneeFloor:
         assert loose.bid_for(MEDIUM, trace) >= \
             0.05 * MEDIUM.on_demand_price
 
-    def test_config_plumbs_floor_to_controller(self, env, api):
-        controller = SpotCheckController(env, api, SpotCheckConfig(
-            bid_policy="knee", knee_floor_fraction=0.8))
+    def test_config_plumbs_floor_to_controller(self, env, region):
+        controller = SpotCheckController.deploy(
+            env, region, TraceArchive(),
+            SpotCheckConfig(bid_policy="knee", knee_floor_fraction=0.8))
         assert controller.bid_policy.floor_fraction == pytest.approx(0.8)
 
     @pytest.mark.parametrize("bad", [0.0, -0.1, 1.5])

@@ -7,7 +7,6 @@ import weakref
 
 import pytest
 
-from repro.cloud.api import CloudApi
 from repro.cloud.instance_types import M3_CATALOG
 from repro.cloud.instances import Market
 from repro.cloud.zones import default_region
@@ -24,16 +23,13 @@ DAY = 24 * 3600.0
 
 def build(config=None):
     env = Environment(seed=17)
-    region = default_region(1)
-    zone = region.zones[0]
-    api = CloudApi(env, region, M3_CATALOG)
     itype = M3_CATALOG.get("m3.2xlarge")
-    archive = TraceArchive()
-    archive.add(PriceTrace([0.0, 10 * DAY], [0.08, 0.08],
-                           itype.name, zone.name, itype.on_demand_price))
-    controller = SpotCheckController(env, api, config or SpotCheckConfig())
-    controller.install_pools(archive, zone, type_names=[itype.name])
-    return env, api, controller
+    archive = TraceArchive([PriceTrace(
+        [0.0, 10 * DAY], [0.08, 0.08], itype.name, "us-east-1a",
+        itype.on_demand_price)])
+    controller = SpotCheckController.deploy(env, default_region(1), archive,
+                                            config)
+    return env, controller.api, controller
 
 
 def provision(env, controller, count, **kwargs):
@@ -68,6 +64,15 @@ class TestProvisionFleet:
         env, api, controller = build(SpotCheckConfig(vms_per_backup=8))
         provision(env, controller, 20)
         assert controller.backup_pool.server_count == 3
+
+    def test_backup_cap_never_exceeds_the_server_spec(self):
+        # A cap far above the default spec's 40 VMs must not pile the
+        # fleet onto one server whose ingest path cannot carry it.
+        env, api, controller = build(SpotCheckConfig(vms_per_backup=2000))
+        provision(env, controller, 200)
+        servers = controller.backup_pool.servers
+        assert len(servers) >= 5
+        assert all(server.assigned_vms <= 40 for server in servers)
 
     def test_steady_flush_forms_one_cohort(self):
         env, api, controller = build(SpotCheckConfig(
@@ -153,9 +158,7 @@ class TestCollectorPause:
         several full collections over the growing fleet; the paused
         one runs only the deliberate collection before the build."""
         n_vms = 20_000
-        config = SpotCheckConfig(vms_per_backup=n_vms,
-                                 steady_checkpoint_flush=True)
-        env, api, controller = build(config)
+        env, api, controller = build(fleet_config(n_vms))
         customer = controller.start_customer("fleet")
         factory = default_fleet_mix(classes=8).workload_factory(n_vms)
         full = []
@@ -312,9 +315,7 @@ class TestFootprint:
 
     def test_20k_vm_boot_per_vm_footprint(self, restore_gc):
         n_vms = 20_000
-        config = SpotCheckConfig(vms_per_backup=n_vms,
-                                 steady_checkpoint_flush=True)
-        env, api, controller = build(config)
+        env, api, controller = build(fleet_config(n_vms))
         customer = controller.start_customer("fleet")
         factory = default_fleet_mix(classes=8).workload_factory(n_vms)
         gc.unfreeze()

@@ -10,15 +10,14 @@ bit-identical-when-disabled guarantee of the fault layer.
 import pytest
 
 from repro.cloud.api import CloudApi
-from repro.cloud.errors import ApiError, CapacityError, InvalidOperation
+from repro.cloud.errors import CapacityError, InvalidOperation
 from repro.cloud.instance_types import M3_CATALOG
 from repro.cloud.instances import Market
 from repro.cloud.spot_market import SpotMarket
 from repro.cloud.zones import default_region
-from repro.core.config import SpotCheckConfig
 from repro.core.controller import SpotCheckController
 from repro.core.policies.placement import StabilityFirst
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultPlan
 from repro.obs import Observability
 from repro.sim.errors import Interrupt
 from repro.sim.kernel import Environment
@@ -26,7 +25,6 @@ from repro.traces.archive import PriceTrace, TraceArchive
 
 from tests.conftest import flat_trace
 from tests.core.test_controller import (
-    SPIKE_END,
     SPIKE_START,
     build,
     launch_fleet,
@@ -42,18 +40,11 @@ LARGE = M3_CATALOG.get("m3.large")
 
 def build_faulty(plan, config=None, traces=None, seed=99, obs=None):
     """Like ``test_controller.build`` but with a fault injector wired."""
-    env = Environment(seed=seed, obs=obs)
-    region = default_region(1)
-    zone = region.zones[0]
-    injector = FaultInjector(env, plan)
-    api = CloudApi(env, region, M3_CATALOG, faults=injector)
-    archive = TraceArchive()
     trace_map = traces or {"m3.medium": spiky_trace("m3.medium", 0.07)}
-    for type_name, trace in trace_map.items():
-        archive.add(trace)
-    controller = SpotCheckController(env, api, config or SpotCheckConfig())
-    controller.install_pools(archive, zone)
-    return env, api, controller, injector
+    controller = SpotCheckController.deploy(
+        Environment(seed=seed, obs=obs), default_region(1),
+        TraceArchive(list(trace_map.values())), config, faults=plan)
+    return controller.env, controller.api, controller, controller.api.faults
 
 
 def degradations(obs, path=None):

@@ -4,9 +4,12 @@ single-process run at every shard count, calm or stormy, with or
 without a chaos plan, including multi-epoch park/migrate rebalancing.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.shard import (
+    MarketSimulation,
     MarketSpec,
     ShardConfig,
     ShardedCell,
@@ -19,13 +22,15 @@ from repro.core.shard.messages import (
     MigrateRequest,
     ParkRequest,
     PriceCrossing,
-    RevocationWarning,
+    ProvisionRequest,
     SlaSegment,
     Stamp,
-    StormReport,
 )
 from repro.experiments.chaos import default_chaos_plan
+from repro.faults import BackupCrash
 from repro.traces.model import MarketParams
+
+DAY = 24 * 3600.0
 
 #: Spot-price dynamics spiky enough that a 1-day, 8-VM cell sees
 #: revocation storms, price crossings, and restore migrations — the
@@ -167,17 +172,58 @@ class TestBitIdentity:
         assert results[0].summary["migrations"] > 0
 
     def test_chaos_plan_run_is_identical_across_shards(self):
-        config = ShardConfig(seed=3, days=1.0,
-                             faults=default_chaos_plan())
+        # The backup crash moved inside the day: one under steady flush.
+        plan = replace(default_chaos_plan(),
+                       backup_crashes=(BackupCrash(at_s=12 * 3600.0),))
+        config = ShardConfig(seed=3, days=1.0, faults=plan)
         results = run_digests(8, spiky_markets("ab"), config, (1, 2))
         assert results[0].digest() == results[1].digest()
         assert results[0].summary["migrations"] > 0
+        assert results[0].summary["backup_servers"] >= 4
+
+    def test_chaos_cell_with_backup_crash_completes(self):
+        """The chaos plan's day-10 backup crash under steady flush: the
+        victims re-enroll their flush on the new server (a member left
+        in the dead server's cohort raises BackupUnavailable on its
+        next round).  Cross-shard identity under a crash is the 1-day
+        test above's."""
+        config = ShardConfig(seed=3, days=11.0,
+                             faults=default_chaos_plan())
+        [result] = run_digests(8, [MarketSpec(zone_name="us-east-1a")],
+                               config, (1,))
+        [report] = result.reports
+        assert report.summary["backup_servers"] == 2
 
     def test_message_stream_is_stamp_sorted(self):
         results = run_digests(8, spiky_markets("ab"),
                               ShardConfig(seed=5, days=1.0), (2,))
         stamps = [m.stamp for m in results[0].messages]
         assert stamps == sorted(stamps)
+
+
+class TestFinalize:
+    def test_report_matches_the_per_metric_methods(self):
+        """The one-pass finalize is bit-identical to the ledger's
+        per-metric methods."""
+        sim = MarketSimulation(spiky_markets("a")[0], ShardConfig(
+            seed=5, days=1.0, steady_checkpoint_flush=False), 0, 8)
+        sim.apply(ProvisionRequest(market=0, count=8))
+        sim.run_until(DAY)
+        summary = sim.finalize().summary
+        ledger, api = sim.controller.ledger, sim.controller.api
+        assert ledger.revocations and ledger.migrations
+        assert [summary[key] for key in (
+            "vm_seconds", "downtime_s", "degraded_s", "total_cost",
+            "cost_breakdown")] == [
+            ledger.total_vm_seconds(), ledger.total_downtime_s(),
+            ledger.total_degraded_s(), ledger.total_cost(api),
+            ledger.cost_breakdown(api)]
+        [segment] = [m for m in sim.outbox.drain()
+                     if isinstance(m, SlaSegment)]
+        assert (segment.vm_hours, segment.availability,
+                segment.unavailability_pct, segment.degradation_pct) == (
+            ledger.total_vm_seconds() / 3600.0, ledger.availability(),
+            100.0 * ledger.unavailability(), 100.0 * ledger.degradation())
 
 
 class TestEpochsAndRebalance:

@@ -10,10 +10,7 @@ change simulation behaviour.
 
 import pytest
 
-from repro.cloud.api import CloudApi
-from repro.cloud.instance_types import M3_CATALOG
 from repro.cloud.zones import default_region
-from repro.core.config import SpotCheckConfig
 from repro.core.controller import SpotCheckController
 from repro.obs import Observability
 from repro.sim.kernel import Environment
@@ -31,15 +28,10 @@ DOWNTIME_PHASES = {"final-commit", "ebs-detach", "vpc-detach", "dest-wait",
 
 
 def build_observed(config=None, obs=None):
-    env = Environment(seed=99, obs=obs)
-    region = default_region(1)
-    zone = region.zones[0]
-    api = CloudApi(env, region, M3_CATALOG)
-    archive = TraceArchive()
-    archive.add(spiky_trace("m3.medium", 0.07))
-    controller = SpotCheckController(env, api, config or SpotCheckConfig())
-    controller.install_pools(archive, zone)
-    return env, api, controller
+    controller = SpotCheckController.deploy(
+        Environment(seed=99, obs=obs), default_region(1),
+        TraceArchive([spiky_trace("m3.medium", 0.07)]), config)
+    return controller.env, controller.api, controller
 
 
 @pytest.fixture(scope="module")

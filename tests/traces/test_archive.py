@@ -6,11 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.traces.archive import PriceTrace, TraceArchive
 
-
-def make_trace(steps, od=0.07):
-    times = [t for t, _ in steps]
-    prices = [p for _, p in steps]
-    return PriceTrace(times, prices, "m3.medium", "z1", od)
+from tests.traces.test_stats import make_trace
 
 
 @st.composite

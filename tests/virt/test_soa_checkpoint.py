@@ -12,33 +12,17 @@ The module and test names are kept so their history stays traceable.
 import pytest
 
 from repro.backup.server import BackupServer
-from repro.cloud.instance_types import M3_CATALOG
 from repro.sim.kernel import Environment
 from repro.virt.migration.checkpoint import CheckpointConfig, CheckpointStream
 from repro.virt.migration.group import GroupCheckpointScheduler
-from repro.virt.testbed import MicroTestbed
-from repro.virt.vm import NestedVM
 from repro.workloads import SpecJbbWorkload, TpcwWorkload
 
-MEDIUM = M3_CATALOG.get("m3.medium")
-
-
-def run_testbed(vm_count, grouped, duration_s=1800.0,
-                workload=TpcwWorkload, checkpoint_config=None):
-    env = Environment(seed=3)
-    testbed = MicroTestbed(env, vm_count=vm_count,
-                           workload_factory=workload,
-                           checkpoint_config=checkpoint_config,
-                           grouped=grouped)
-    result = testbed.run_steady(duration_s)
-    return env, testbed, result
-
-
-def per_vm_rates(testbed, result):
-    """Flush rates in VM creation order (ids are process-global, so
-    the two testbeds' VMs must be matched positionally)."""
-    return [result["per_vm_bps"][vm.id] for vm in testbed.vms]
-
+from tests.virt.test_group_checkpoint import (
+    make_scheduler,
+    make_stream,
+    per_vm_rates,
+    run_testbed,
+)
 
 class TestEquivalence:
     @pytest.mark.parametrize("vm_count", [1, 10, 40])
@@ -79,16 +63,6 @@ class TestEquivalence:
         env_per_vm, _, _ = run_testbed(40, grouped=False)
         env_batched, _, _ = run_testbed(40, grouped=True)
         assert env_batched.events_processed * 5 < env_per_vm.events_processed
-
-
-def make_scheduler(env):
-    server = BackupServer(env)
-    return GroupCheckpointScheduler(env, server.ingest)
-
-
-def make_stream(env, workload=TpcwWorkload):
-    vm = NestedVM(env, MEDIUM, workload=workload())
-    return vm, CheckpointStream(vm.memory, CheckpointConfig())
 
 
 class _RatedMemory:

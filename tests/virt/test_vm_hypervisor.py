@@ -3,20 +3,15 @@
 import pytest
 
 from repro.cloud.instance_types import M3_CATALOG
-from repro.cloud.instances import Instance, Market
-from repro.virt.hypervisor import HostVM, NestedHypervisor
+from repro.virt.hypervisor import NestedHypervisor
 from repro.virt.vm import NestedVM, VMState
 from repro.workloads import TpcwWorkload
+
+from tests.core.test_pools import make_host
 
 MEDIUM = M3_CATALOG.get("m3.medium")
 LARGE = M3_CATALOG.get("m3.large")
 XLARGE = M3_CATALOG.get("m3.xlarge")
-
-
-def make_host(env, zone, itype=MEDIUM, slots=1):
-    instance = Instance(env, itype, zone, Market.ON_DEMAND)
-    instance._mark_running()
-    return HostVM(env, instance, MEDIUM, slots=slots)
 
 
 class TestNestedVM:
