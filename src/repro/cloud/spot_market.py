@@ -12,19 +12,16 @@ price step, the market keeps a sorted index of active thresholds
 (instance bids, plus the bands of registered :class:`PriceWatch`
 crossing listeners), precomputes the next trace index any of them cares
 about with vectorized lookups over the trace arrays, and sleeps
-straight to that point.  Two listener tiers exist:
-
-* **Step listeners** (:meth:`SpotMarket.on_price_change`) receive every
-  price point; registering one — or attaching an
-  :class:`~repro.obs.Observability` facade, which needs the per-point
-  ``spot.price`` event stream — pins the market to the legacy
-  step-by-step drive.
-* **Crossing watches** (:meth:`SpotMarket.add_watch`) declare a price
-  band and are woken only at trace points inside it; points outside
-  every active band and below every registered bid are skipped without
-  a kernel event.  Series consumers that used to tap the step stream
-  (pool price history) are reconstructed lazily from the trace arrays
-  via :meth:`SpotMarket.delivered_count`.
+straight to that point.  Price consumers are crossing watches
+(:meth:`SpotMarket.add_watch`): each declares a price band and is woken
+only at trace points inside it; points outside every active band and
+below every registered bid are skipped without a kernel event.  A watch
+with no bounds (the revocation predictor's) matches every point, so the
+drive delivers each one.  Series consumers (pool price history) are
+reconstructed lazily from the trace arrays via
+:meth:`SpotMarket.delivered_count`.  An attached
+:class:`~repro.obs.Observability` facade, which needs the per-point
+``spot.price`` event stream, also makes the drive deliver every point.
 
 Skipping is outcome-preserving: a skipped point is one at which, by
 construction, the step drive would have warned nobody and every watch
@@ -58,7 +55,8 @@ class PriceWatch:
     gate is a scheduling hint, not a correctness guard).
     """
 
-    __slots__ = ("lo", "hi", "callback", "active", "_match_cache")
+    __slots__ = ("lo", "hi", "callback", "active", "_match_cache",
+                 "_last_match")
 
     def __init__(self, callback, lo=None, hi=None, active=None):
         if lo is not None and hi is not None and hi <= lo:
@@ -69,6 +67,8 @@ class PriceWatch:
         self.active = active if active is not None else (lambda: True)
         #: Sorted trace indices matching the band, built on first use.
         self._match_cache = None
+        #: The last ``(start, next_match(start))`` answer.
+        self._last_match = None
 
     def retune(self, lo=None, hi=None):
         """Move the band to ``(lo, hi]`` (None bounds stay unbounded).
@@ -85,6 +85,7 @@ class PriceWatch:
         self.lo = lo
         self.hi = hi
         self._match_cache = None
+        self._last_match = None
 
     def matches(self, price):
         """Whether one price lies in this watch's band."""
@@ -106,12 +107,22 @@ class PriceWatch:
         return self._match_cache
 
     def next_match(self, prices, start):
-        """First matching trace index >= ``start``, or ``None``."""
+        """First matching trace index >= ``start``, or ``None``.
+
+        O(1) for an unbounded band, and for a ``start`` between the
+        last lookup's start and its answer (the answer cannot move).
+        """
+        if self.lo is None and self.hi is None:
+            return start if start < len(prices) else None
+        last = self._last_match
+        if last is not None and last[0] <= start and \
+                (last[1] is None or start <= last[1]):
+            return last[1]
         matches = self.match_indices(prices)
         pos = int(np.searchsorted(matches, start))
-        if pos >= len(matches):
-            return None
-        return int(matches[pos])
+        idx = int(matches[pos]) if pos < len(matches) else None
+        self._last_match = (start, idx)
+        return idx
 
 
 class SpotMarket:
@@ -130,7 +141,6 @@ class SpotMarket:
         #: (not a list) so deregister is O(1) and a revocation storm
         #: deregistering mid-iteration cannot corrupt a scan.
         self._instances = {}
-        self._price_listeners = []
         self._watches = []
         self._warning_listeners = []
         self._revoke_callback = None
@@ -195,8 +205,8 @@ class SpotMarket:
         accumulating per step.  Zero until the drive process first
         runs, so a consumer attached before the run starts sees the
         point at t=0 while one attached mid-run at t=0 (after the
-        drive's initialization event) does not — matching when each
-        would have started hearing step callbacks.
+        drive's initialization event) does not — matching when an
+        unbounded watch registered at that moment starts hearing points.
         """
         if not self._started:
             return 0
@@ -205,15 +215,6 @@ class SpotMarket:
         # The cursor can be ahead during the wake instant itself if the
         # accumulated clock landed an ulp below the trace time.
         return max(delivered, self._cursor)
-
-    def on_price_change(self, callback):
-        """Call ``callback(market, price)`` on every price change.
-
-        Step listeners pin the market to the per-point drive; prefer
-        :meth:`add_watch` for crossing-triggered logic.
-        """
-        self._price_listeners.append(callback)
-        self.rearm()
 
     def add_watch(self, watch):
         """Register a :class:`PriceWatch` crossing listener."""
@@ -224,8 +225,8 @@ class SpotMarket:
     def on_warning(self, callback):
         """Call ``callback(market, instance, deadline)`` at each warning.
 
-        A passive tap on the warning path: unlike step listeners it
-        does not change the drive's wake planning, so shard event taps
+        A passive tap on the warning path: unlike a watch it does not
+        change the drive's wake planning, so shard event taps
         can observe revocation warnings without altering when (or how
         often) the market wakes — which would break bit-identity with
         an untapped run.
@@ -303,7 +304,7 @@ class SpotMarket:
 
     def _step_mode(self):
         """Whether every trace point must be delivered individually."""
-        return bool(self._price_listeners) or self.env.obs is not None
+        return self.env.obs is not None
 
     def _min_active_bid(self):
         """Smallest bid among live registered instances, or ``None``."""
@@ -337,13 +338,17 @@ class SpotMarket:
         if self._step_mode():
             return start
         best = None
-        bid = self._min_active_bid()
-        if bid is not None:
-            best = self._next_bid_crossing(bid, start)
         for watch in self._watches:
             if not watch.active():
                 continue
             idx = watch.next_match(self._prices, start)
+            if idx == start:
+                return start  # Nothing can come earlier.
+            if idx is not None and (best is None or idx < best):
+                best = idx
+        bid = self._min_active_bid()
+        if bid is not None:
+            idx = self._next_bid_crossing(bid, start)
             if idx is not None and (best is None or idx < best):
                 best = idx
         return best
@@ -382,16 +387,19 @@ class SpotMarket:
         threshold-set change that triggered the rearm — so replaying
         them now, under the new thresholds, would act on stale prices.
         They are provably no-ops under the old set; consume them
-        silently, keeping the accumulated clock exact.
+        silently, keeping the accumulated clock exact.  Returns the
+        arrival time of the point now at the cursor (``None`` at the
+        end of the trace).
         """
         now = self.env.now
         while self._cursor < self._n:
             when = self._arrival(self._cursor)
             if when >= now:
-                break
+                return when
             self._clock = when
             self._cursor += 1
             self.stats["stale_skips"] += 1
+        return None
 
     def _drive(self, gen):
         """Process: replay the trace, waking only at indexed thresholds."""
@@ -399,14 +407,15 @@ class SpotMarket:
         self._started = True
         self._parked = False
         while self._cursor < self._n:
-            self._skip_elapsed()
+            when = self._skip_elapsed()
             target = self._next_wake_index()
             if target is None:
                 self._parked = True
                 return  # Nothing to wake for; rearm() restarts us.
             if target >= self._n:
                 break
-            when = self._arrival(target)
+            if target != self._cursor:
+                when = self._arrival(target)
             if when > env.now:
                 self._sleep_index = target
                 self.stats["wakes"] += 1
@@ -434,8 +443,6 @@ class SpotMarket:
             if obs is not None:
                 obs.emit("spot.price", type=self.itype.name,
                          zone=self.zone.name, price=price)
-            for listener in list(self._price_listeners):
-                listener(self, price)
             for watch in list(self._watches):
                 if watch.matches(price):
                     watch.callback(self, price)

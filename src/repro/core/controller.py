@@ -262,23 +262,24 @@ class SpotCheckController:
     def _wire_pool_dynamics(self, market, pool):
         """Subscribe pool dynamics to one market's price trace.
 
-        With the predictor off, the controller only ever *acts* on two
-        price bands — the proactive window (od, bid] and the
-        return-to-spot recovery band (-inf, od] — so it registers
-        crossing watches and the market drive skips every other point.
-        The predictor's EWMA must see every sample in controller gate
-        order, so predictive runs fall back to the step-listener tier.
+        The controller acts on two price bands — the proactive window
+        (od, bid] and the return-to-spot recovery band (-inf, od] — so
+        it registers crossing watches and the market drive skips every
+        other point.  The predictor's EWMA must see every sample, so a
+        predictive run adds an unbounded watch between the two: each
+        point reaches the proactive, predictor and return checks in
+        that order.
         """
-        if self.predictor is not None:
-            market.on_price_change(
-                lambda mkt, price, p=pool: self._on_price_change(p, price))
-            return
         od_price = pool.itype.on_demand_price
         if self.config.proactive_migration and od_price < pool.bid:
             market.add_watch(PriceWatch(
                 lambda mkt, price, p=pool: self._maybe_proactive_drain(
                     p, price),
                 lo=od_price, hi=pool.bid))
+        if self.predictor is not None:
+            market.add_watch(PriceWatch(
+                lambda mkt, price, p=pool: self._maybe_predictive_drain(
+                    p, price)))
         if self.config.return_to_spot:
             # Inactive while nothing is parked (most of the time, which
             # is what makes the recovery band skippable at all); the
@@ -448,14 +449,13 @@ class SpotCheckController:
                 vm.eni._detach()
             if vm.private_ip is not None:
                 self.api.vpc.unassign_private_ip(vm.eni, vm.private_ip)
+                vm.eni.subnet.release_ip(vm.private_ip)
                 vm.private_ip = None
             vm.eni = None
         if vm.volume is not None:
             vm.volume._force_detach()
             vm.volume.delete()
             vm.volume = None
-        return
-        yield  # pragma: no cover — generator form for symmetry
 
     def _choose_pool(self, customer=None):
         spot_pools = self.pools.all_spot_pools()
@@ -845,22 +845,15 @@ class SpotCheckController:
             self._gc_host_if_empty(host)
         self._gc_host_if_empty(source_host)
 
-    def _on_price_change(self, pool, price):
-        """Step-listener tier: fed every price point (predictive runs)."""
-        pool.record_price(self.env.now, price)
-        od_price = pool.itype.on_demand_price
-        if self.config.proactive_migration and od_price < price <= pool.bid:
-            self._maybe_proactive_drain(pool, price)
-        if self.predictor is not None and pool.vm_count > 0 and \
-                pool.key not in self._draining_pools and \
+    def _maybe_predictive_drain(self, pool, price):
+        """Predictor trigger: fed every trace point of the pool's market."""
+        if pool.vm_count > 0 and pool.key not in self._draining_pools and \
                 self.predictor.observe(pool.key, self.env.now, price,
                                        pool.bid):
             self._draining_pools.add(pool.key)
             self._note_pool_move(pool, "pool.drain", cause="predictive",
                                  price=price)
             self.env.process(self._proactive_drain(pool, cause="predictive"))
-        if self.config.return_to_spot and price <= od_price:
-            self._maybe_return_to_spot(pool, price)
 
     def _maybe_proactive_drain(self, pool, price):
         """Crossing-tier trigger: the price entered (od, bid]."""

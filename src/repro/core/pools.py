@@ -8,11 +8,9 @@ revocation/migration counts.
 """
 
 import heapq
-from collections import deque
 from itertools import count
 
-#: How many trailing price samples feed ``recent_mean_price_per_slot``
-#: (the bound the per-step deque historically had).
+#: How many trailing price samples feed ``recent_mean_price_per_slot``.
 PRICE_SAMPLE_WINDOW = 512
 
 #: Per-host record fields inside ``ServerPool._hosts``.
@@ -205,23 +203,13 @@ class SpotPool(ServerPool):
         self.bid = bid
         #: Revocation-event history: (time, hosts_lost, vms_displaced).
         self.revocations = []
-        #: Explicitly recorded (time, price) samples.  Normally empty:
-        #: the window is reconstructed lazily from the market's trace
-        #: arrays (see ``_market_price_window``), so the market drive
-        #: does not need to wake at every point just to feed it.  A
-        #: caller that records samples by hand overrides the lazy path.
-        self._price_samples = deque(maxlen=PRICE_SAMPLE_WINDOW)
         #: Trace points already delivered when this pool attached —
-        #: the start of its sample series, exactly as if it had been
-        #: hearing per-point callbacks from that moment on.
+        #: the start of its sample series.
         counter = getattr(market, "delivered_count", None)
         self._series_start = counter() if counter is not None else 0
 
     def record_revocation(self, when, hosts_lost, vms_displaced):
         self.revocations.append((when, hosts_lost, vms_displaced))
-
-    def record_price(self, when, price):
-        self._price_samples.append((when, price))
 
     @property
     def slots_per_host(self):
@@ -233,11 +221,10 @@ class SpotPool(ServerPool):
         return self.market.current_price() / self.slots_per_host
 
     def _market_price_window(self):
-        """The last <= 512 prices the step drive would have fed us.
+        """The last <= 512 trace prices delivered since this pool attached.
 
-        Reconstructed from the trace arrays via the market's delivered
-        count: same values, same order, same left-to-right float sum as
-        the per-step deque accumulation it replaces.
+        Read from the trace arrays via the market's delivered count, so
+        the drive need not wake at every point just to feed the series.
         """
         counter = getattr(self.market, "delivered_count", None)
         if counter is None:
@@ -249,35 +236,13 @@ class SpotPool(ServerPool):
         _times, prices = self.market.trace.arrays()
         return prices[start:end].tolist()
 
-    def _last_market_sample_time(self):
-        """Timestamp of the newest lazily-delivered trace point, or None."""
-        counter = getattr(self.market, "delivered_count", None)
-        if counter is None:
-            return None
-        end = counter()
-        if end <= self._series_start:
-            return None
-        times, _prices = self.market.trace.arrays()
-        return float(times[end - 1])
-
     def recent_mean_price_per_slot(self):
         """Historical mean price per slot (4P-COST's weight input).
 
-        Two sample series can exist: explicitly recorded samples (the
-        predictive step-listener path) and the lazily reconstructed
-        market window.  Whichever series saw a price more recently
-        wins, so weights never freeze on stale manual samples after
-        manual recording stops; ties prefer the manual series, which
-        preserves the exact float sums of all-manual runs.
+        The mean of the market window (see ``_market_price_window``);
+        the current price per slot before any point was delivered.
         """
-        manual_t = self._price_samples[-1][0] if self._price_samples else None
-        market_t = self._last_market_sample_time()
-        if manual_t is not None and (market_t is None or manual_t >= market_t):
-            prices = [price for _when, price in self._price_samples]
-        else:
-            prices = self._market_price_window()
-            if not prices and self._price_samples:
-                prices = [price for _when, price in self._price_samples]
+        prices = self._market_price_window()
         if not prices:
             return self.price_per_slot()
         return (sum(prices) / len(prices)) / self.slots_per_host

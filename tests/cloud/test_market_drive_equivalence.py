@@ -8,9 +8,9 @@ subtly changes *values* (not just wall-clock) fails loudly.
 """
 
 from repro.cloud.instance_types import M3_CATALOG
-from repro.cloud.spot_market import SpotMarket
+from repro.cloud.spot_market import PriceWatch, SpotMarket
 from repro.core.policies.prediction import RevocationPredictor
-from repro.core.pools import SpotPool
+from repro.core.pools import PRICE_SAMPLE_WINDOW, SpotPool
 from repro.experiments.scenario import PolicySimulation, ScenarioConfig
 
 from tests.conftest import step_trace
@@ -73,6 +73,19 @@ class TestScenarioEquivalence:
         assert not lazy(stepped)
 
 
+def hear_every_price(market):
+    """Stepped oracle: an unbounded watch hears every trace point."""
+    seen = []
+    market.add_watch(PriceWatch(lambda m, price: seen.append(price)))
+    return seen
+
+
+def stepped_mean_per_slot(seen, pool):
+    """The per-step mean the lazy window must reproduce bit for bit."""
+    window = seen[-PRICE_SAMPLE_WINDOW:]
+    return (sum(window) / len(window)) / pool.slots_per_host
+
+
 class TestPriceWindowEquivalence:
     def _market(self, env, zone, steps):
         trace = step_trace(steps)
@@ -84,14 +97,12 @@ class TestPriceWindowEquivalence:
         market = self._market(env, zone, steps)
         lazy = SpotPool(MEDIUM, zone, MEDIUM, market,
                         bid=MEDIUM.on_demand_price)
-        eager = SpotPool(MEDIUM, zone, MEDIUM, market,
-                         bid=MEDIUM.on_demand_price)
-        market.on_price_change(
-            lambda m, price: eager.record_price(m.env.now, price))
-        env.run(until=500 * 60.0 + 1)
+        seen = hear_every_price(market)
+        env.run(until=550 * 60.0 + 1)
+        assert len(seen) == 551 > PRICE_SAMPLE_WINDOW
         # Bitwise equality: same values, same order, same float fold.
         assert lazy.recent_mean_price_per_slot() == \
-            eager.recent_mean_price_per_slot()
+            stepped_mean_per_slot(seen, lazy)
 
     def test_late_attach_sees_only_subsequent_points(self, env, zone):
         steps = [(float(i * 60), 0.01 + 0.001 * (i % 9)) for i in range(200)]
@@ -101,13 +112,11 @@ class TestPriceWindowEquivalence:
         env.run(until=100 * 60.0 + 30.0)
         lazy = SpotPool(MEDIUM, zone, MEDIUM, market,
                         bid=MEDIUM.on_demand_price)
-        eager = SpotPool(MEDIUM, zone, MEDIUM, market,
-                         bid=MEDIUM.on_demand_price)
-        market.on_price_change(
-            lambda m, price: eager.record_price(m.env.now, price))
+        seen = hear_every_price(market)
         env.run()
+        assert len(seen) == 99
         assert lazy.recent_mean_price_per_slot() == \
-            eager.recent_mean_price_per_slot()
+            stepped_mean_per_slot(seen, lazy)
 
     def test_empty_window_falls_back_to_current_price(self, env, zone):
         market = self._market(env, zone, [(0, 0.02)])

@@ -35,11 +35,13 @@ class TestPrices:
         assert market.price_at(0.0) == 0.05
 
     def test_price_listeners_called(self, env, zone):
+        """An unbounded watch is a price listener: it hears every point."""
         market = make_market(env, zone, steps=[(0, 0.02), (50, 0.03)])
         seen = []
-        market.on_price_change(lambda m, p: seen.append((env.now, p)))
+        market.add_watch(PriceWatch(lambda m, p: seen.append((env.now, p))))
         env.run(until=100)
-        assert (50.0, 0.03) in seen
+        assert seen == [(0.0, 0.02), (50.0, 0.03)]
+        assert market.drive_stats()["delivered"] == 2
 
     def test_empty_trace_rejected(self, env, zone):
         import numpy as np
@@ -260,12 +262,13 @@ class TestEventSkipping:
         assert instance.state is InstanceState.RUNNING
 
     def test_step_listener_pins_per_point_delivery(self, env, zone):
+        """An unbounded watch makes the drive deliver every point."""
         steps = [(float(i * 60), 0.02) for i in range(50)]
         market = make_market(env, zone, steps=steps)
         seen = []
-        market.on_price_change(lambda m, p: seen.append((m.env.now, p)))
+        market.add_watch(PriceWatch(lambda m, p: seen.append((m.env.now, p))))
         env.run()
-        assert len(seen) == 50
+        assert seen == steps
         assert market.drive_stats()["delivered"] == 50
 
     def test_skipping_still_warns_at_crossing_time(self, env, zone):
@@ -358,3 +361,23 @@ class TestPriceWatch:
     def test_empty_band_rejected(self):
         with pytest.raises(ValueError):
             PriceWatch(lambda m, p: None, lo=0.10, hi=0.05)
+
+    @pytest.mark.parametrize("band", [dict(lo=0.05), dict(hi=0.03),
+                                      dict(lo=0.02, hi=0.06), dict()])
+    def test_next_match_agrees_with_a_scan(self, band):
+        """Remembered answers and the unbounded shortcut equal a scan,
+        for starts that move forward, backward and past the end, and
+        across a retune."""
+        import numpy as np
+        prices = np.array([0.01, 0.04, 0.07, 0.02, 0.05, 0.01, 0.09, 0.03])
+        watch = PriceWatch(lambda m, p: None, **band)
+
+        def scan(start):
+            return next((i for i in range(start, len(prices))
+                         if watch.matches(float(prices[i]))), None)
+
+        for start in [0, 1, 2, 3, 2, 0, 5, 6, 7, 8, 4, 1]:
+            assert watch.next_match(prices, start) == scan(start), start
+        watch.retune(lo=0.08)
+        for start in [0, 3, 6, 7, 0]:
+            assert watch.next_match(prices, start) == scan(start), start

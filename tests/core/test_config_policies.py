@@ -116,8 +116,11 @@ class TestAllocationPolicies:
         policy = make_allocation_policy("4P-COST")
         pools = make_pools(env, zone, prices={
             "m3.large": 0.002, "m3.2xlarge": 0.50})
+        env.run(until=1.0)  # Each market delivers its t=0 point.
         for pool in pools:
-            pool.record_price(0.0, pool.market.current_price())
+            assert pool.market.delivered_count() == 1
+            assert pool.recent_mean_price_per_slot() == \
+                pool.market.current_price() / pool.slots_per_host
         counts = {}
         for _ in range(400):
             name = policy.choose(pools, rng).itype.name

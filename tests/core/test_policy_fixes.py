@@ -1,6 +1,6 @@
 """Regression tests for the policy-layer fixes that shipped with the
 portfolio family: the 4P-ST clock, the knee bid floor plumbing, the
-4P-COST price-series freshness, and the predictor's batch-observe
+4P-COST price window, and the predictor's batch-observe
 equivalence."""
 
 import pytest
@@ -135,38 +135,22 @@ class TestKneeFloor:
 
 
 class TestPriceSeriesFreshness:
-    """4P-COST's mean permanently ignored the lazy market window once
-    any manual sample existed, freezing weights on stale prices."""
-
-    def _stepped_pool(self, env, zone):
-        # 11 points at 0.01; a step listener pins the per-point drive,
-        # so delivered_count advances over every point.
-        trace = step_trace([(i * 100.0, 0.01) for i in range(11)])
-        market = SpotMarket(env, MEDIUM, zone, trace)
-        market.on_price_change(lambda market, price: None)
-        return SpotPool(MEDIUM, zone, MEDIUM, market, bid=0.07)
+    """4P-COST's mean once froze on stale hand-recorded samples; the
+    market window is now its only series."""
 
     def test_fresher_market_series_wins(self, env, zone):
-        pool = self._stepped_pool(env, zone)
-        # One early manual sample at a very different price.
-        pool.record_price(5.0, 0.05)
-        env.run(until=2000.0)
-        # The market window (newest point t=1000) outranks the t=5
-        # manual sample; the pre-fix behaviour returned 0.05 forever.
+        # Ten points at 0.01, then one at 0.05: the mean follows every
+        # delivered point of the market window, not the current price.
+        trace = step_trace([(i * 100.0, 0.01) for i in range(10)]
+                           + [(1000.0, 0.05)])
+        pool = SpotPool(MEDIUM, zone, MEDIUM,
+                        SpotMarket(env, MEDIUM, zone, trace), bid=0.07)
+        env.run(until=500.0)
         assert pool.recent_mean_price_per_slot() == pytest.approx(0.01)
-
-    def test_fresher_manual_sample_wins(self, env, zone):
-        pool = self._stepped_pool(env, zone)
         env.run(until=2000.0)
-        pool.record_price(3000.0, 0.05)
-        assert pool.recent_mean_price_per_slot() == pytest.approx(0.05)
-
-    def test_all_manual_runs_unchanged(self, env, zone):
-        # No market delivery at all: the manual series is the only one.
-        pool = medium_pool(env, zone)
-        pool.record_price(1.0, 0.02)
-        pool.record_price(2.0, 0.04)
-        assert pool.recent_mean_price_per_slot() == pytest.approx(0.03)
+        assert pool.price_per_slot() == 0.05
+        assert pool.recent_mean_price_per_slot() == \
+            pytest.approx(0.15 / 11)
 
 
 class TestPredictorSeries:

@@ -100,6 +100,26 @@ class TestPlacementUnderFaults:
         assert vm.is_running
         assert vm.state.value == "running"
 
+    def test_failed_wiring_releases_interface_and_address(self):
+        # Every volume attach fails terminally, so each placement
+        # attempt (spot, then the on-demand fallback loop) wires an
+        # interface and a volume and must unwind both.  A leaked
+        # private IP per attempt would exhaust the /24 within the
+        # first simulated hour.
+        plan = FaultPlan(error_rates={"attach_volume": 1.0},
+                         terminal_fraction=1.0)
+        env, api, controller, injector = build_faulty(
+            plan, traces={"m3.medium": quiet_trace("m3.medium", 0.07)})
+        customer = controller.start_customer("c")
+        controller.request_server(customer)
+        env.run(until=6 * 3600.0)
+        assert injector.counts["api-error-terminal"] > 254
+        [subnet] = customer.subnets.values()
+        assert subnet.allocated == set()
+        assert len(api.vpc.interfaces) > 254
+        assert not any(eni.is_attached or eni.private_ips
+                       for eni in api.vpc.interfaces.values())
+
 
 class TestTerminateRaces:
     def test_graceful_terminate_after_forced_is_noop(self):

@@ -100,6 +100,7 @@ class TestCohorts:
         cohort_a = sched.join("a", stream_a)
         cohort_b = sched.join("b", stream_b)
         assert cohort_a is cohort_b
+        assert sched.cohort_of("a") is sched.cohort_of("b") is cohort_a
         assert sched.cohorts_created == 1
         assert sched.member_count() == 2
 
@@ -130,7 +131,10 @@ class TestCohorts:
         env.run(until=1.0)
         sched.leave("a")
         assert cohort.stop.triggered
+        assert sched.member_count() == 0
         env.run(until=2.0)
+        # Gone on the next kernel step, long before its next round.
+        assert 2.0 < cohort.plan[0]
         assert not cohort.proc.is_alive
         assert sched.stats()["cohorts_active"] == 0
 
@@ -205,6 +209,46 @@ class TestCohorts:
         assert sched.flushed == per_vm
         assert per_vm["vm4"] < per_vm["vm0"]
 
+    def test_churned_equals_per_vm_with_matching_lifetimes(self):
+        """A member that leaves matches a per-VM stream stopped then,
+        and a member enrolled mid-run matches a stream started then."""
+        def stream():
+            return CheckpointStream(
+                _RatedMemory(rate_bps=2e6, interval_s=20.0),
+                CheckpointConfig())
+
+        env = Environment(seed=5)
+        server = BackupServer(env)
+        per_vm = {"a": 0.0, "b": 0.0}
+        stops = {"a": env.event(), "b": env.event()}
+
+        def start(member):
+            def _account(nbytes):
+                per_vm[member] += nbytes
+            stream().run(env, server.ingest, stops[member],
+                         on_flush=_account)
+
+        start("a")
+        env.run(until=130.0)
+        stops["a"].succeed()
+        start("b")
+        env.run(until=310.0)
+        stops["b"].succeed()
+        env.run(until=340.0)
+
+        env = Environment(seed=5)
+        server = BackupServer(env)
+        sched = GroupCheckpointScheduler(env, server.ingest)
+        sched.join("a", stream())
+        env.run(until=130.0)
+        sched.leave("a")
+        # Re-enrollment mid-run (fresh cohort at the new time).
+        sched.join("b", stream())
+        env.run(until=310.0)
+        env.run(until=env.process(sched.settle()))
+        assert sched.flushed == per_vm
+        assert sched.cohorts_created == 2
+
     def test_settle_now_credits_only_completed_rounds(self):
         env = Environment(seed=7)
         sched = make_scheduler(env)
@@ -217,6 +261,73 @@ class TestCohorts:
         assert flushed["a"] == pytest.approx(4 * dirty)
         # Settling is idempotent.
         assert sched.settle_now() is flushed
+
+
+class _RatedMemory:
+    """Pure-rate test double: dirty is linear in the interval.
+
+    ``dirty_bytes`` is a pure function of the interval, so per-VM
+    streams (wake-time evaluation) and plan capture (sleep-time) agree
+    exactly.  Deliberately not a ``MemoryModel`` so the plan cache is
+    bypassed.
+    """
+
+    def __init__(self, rate_bps=2e6, interval_s=20.0):
+        self.rate_bps = rate_bps
+        self.base_interval_s = interval_s
+        self.total_bytes = 4e9
+
+    def interval_for_dirty_bytes(self, budget_bytes):
+        return self.base_interval_s
+
+    def dirty_bytes(self, interval_s):
+        return self.rate_bps * min(interval_s, 3600.0)
+
+
+class TestMixedPlans:
+    def _memories(self):
+        # Two plan classes enrolled at the same instant: aggregated
+        # caps stay under the ingest capacity, so equivalence is exact
+        # even when the classes' flows overlap (cap-bound individually).
+        return [_RatedMemory(rate_bps=2e6, interval_s=20.0),
+                _RatedMemory(rate_bps=2e6, interval_s=20.0),
+                _RatedMemory(rate_bps=1.5e6, interval_s=30.0),
+                _RatedMemory(rate_bps=1.5e6, interval_s=30.0)]
+
+    def test_mixed_plans_match_per_vm(self):
+        duration_s, drain_s = 310.0, 30.0
+        env = Environment(seed=9)
+        server = BackupServer(env)
+        per_vm = {}
+        stops = []
+        for index, memory in enumerate(self._memories()):
+            stop = env.event()
+            stops.append(stop)
+            member = f"vm{index}"
+            per_vm[member] = 0.0
+
+            def _account(nbytes, member=member):
+                per_vm[member] += nbytes
+
+            CheckpointStream(memory, CheckpointConfig()).run(
+                env, server.ingest, stop, on_flush=_account)
+        env.run(until=duration_s)
+        for stop in stops:
+            stop.succeed()
+        env.run(until=duration_s + drain_s)
+
+        env = Environment(seed=9)
+        sched = make_scheduler(env)
+        for index, memory in enumerate(self._memories()):
+            sched.join(f"vm{index}",
+                       CheckpointStream(memory, CheckpointConfig()))
+        env.run(until=duration_s)
+        env.run(until=env.process(sched.settle()))
+        env.run(until=duration_s + drain_s)
+        assert sched.flushed == per_vm
+        # One cohort per plan class, not per member.
+        assert sched.cohorts_created == 2
+        assert sched.stats()["flows_issued"] > 0
 
 
 class TestInFlightHygiene:

@@ -6,7 +6,9 @@ batched steady-flush engine, so the same scenarios now hold
 :class:`GroupCheckpointScheduler` to the per-VM streams: same wake
 times and credited flush totals under churn, mixed plans on one
 scheduler and settlement.
-The module and test names are kept so their history stays traceable.
+The module and test names are kept so their history stays traceable;
+the mixed-plan and leave-then-rejoin scenarios live in
+``test_group_checkpoint``.
 """
 
 import pytest
@@ -18,6 +20,7 @@ from repro.virt.migration.group import GroupCheckpointScheduler
 from repro.workloads import SpecJbbWorkload, TpcwWorkload
 
 from tests.virt.test_group_checkpoint import (
+    _RatedMemory,
     make_scheduler,
     make_stream,
     per_vm_rates,
@@ -63,83 +66,6 @@ class TestEquivalence:
         env_per_vm, _, _ = run_testbed(40, grouped=False)
         env_batched, _, _ = run_testbed(40, grouped=True)
         assert env_batched.events_processed * 5 < env_per_vm.events_processed
-
-
-class _RatedMemory:
-    """Pure-rate test double: dirty is linear in the interval.
-
-    ``dirty_bytes`` is a pure function of the interval, so per-VM
-    streams (wake-time evaluation) and plan capture (sleep-time) agree
-    exactly.  Deliberately not a ``MemoryModel`` so the plan cache is
-    bypassed.
-    """
-
-    def __init__(self, rate_bps=2e6, interval_s=20.0):
-        self.rate_bps = rate_bps
-        self.base_interval_s = interval_s
-        self.total_bytes = 4e9
-
-    def interval_for_dirty_bytes(self, budget_bytes):
-        return self.base_interval_s
-
-    def dirty_bytes(self, interval_s):
-        return self.rate_bps * min(interval_s, 3600.0)
-
-
-def run_per_vm(env, memories, duration_s, drain_s=30.0):
-    """Reference: one CheckpointStream process per memory double."""
-    server = BackupServer(env)
-    flushed = {}
-    stops = []
-    for index, memory in enumerate(memories):
-        stream = CheckpointStream(memory, CheckpointConfig())
-        stop = env.event()
-        stops.append(stop)
-        member = f"vm{index}"
-        flushed[member] = 0.0
-
-        def _account(nbytes, member=member):
-            flushed[member] += nbytes
-
-        stream.run(env, server.ingest, stop, on_flush=_account)
-    env.run(until=duration_s)
-    for stop in stops:
-        stop.succeed()
-    env.run(until=duration_s + drain_s)
-    return flushed
-
-
-def run_batched(env, memories, duration_s, drain_s=30.0):
-    """The same memory doubles enrolled in one group scheduler."""
-    server = BackupServer(env)
-    sched = GroupCheckpointScheduler(env, server.ingest)
-    for index, memory in enumerate(memories):
-        stream = CheckpointStream(memory, CheckpointConfig())
-        sched.join(f"vm{index}", stream)
-    env.run(until=duration_s)
-    env.run(until=env.process(sched.settle()))
-    env.run(until=duration_s + drain_s)
-    return sched, dict(sched.flushed)
-
-
-class TestMixedPlans:
-    def _memories(self):
-        # Two plan classes enrolled at the same instant: aggregated
-        # caps stay under the ingest capacity, so equivalence is exact
-        # even when the classes' flows overlap (cap-bound individually).
-        return [_RatedMemory(rate_bps=2e6, interval_s=20.0),
-                _RatedMemory(rate_bps=2e6, interval_s=20.0),
-                _RatedMemory(rate_bps=1.5e6, interval_s=30.0),
-                _RatedMemory(rate_bps=1.5e6, interval_s=30.0)]
-
-    def test_mixed_plans_match_per_vm(self):
-        per_vm = run_per_vm(Environment(seed=9), self._memories(), 310.0)
-        sched, batched = run_batched(Environment(seed=9), self._memories(),
-                                     310.0)
-        assert batched == per_vm
-        # One cohort per plan class, not per member.
-        assert sched.cohorts_created == 2
-        assert sched.stats()["flows_issued"] > 0
 
 
 class TestChurn:
@@ -188,46 +114,6 @@ class TestChurn:
         sched.settle_now()
         assert sched.flushed["a"] == pytest.approx(2 * dirty)
         assert sched.flushed["b"] == pytest.approx(6 * dirty)
-
-    def test_churned_equals_per_vm_with_matching_lifetimes(self):
-        """A member that leaves matches a per-VM stream stopped then,
-        and a member enrolled mid-run matches a stream started then."""
-        def stream():
-            return CheckpointStream(
-                _RatedMemory(rate_bps=2e6, interval_s=20.0),
-                CheckpointConfig())
-
-        env = Environment(seed=5)
-        server = BackupServer(env)
-        per_vm = {"a": 0.0, "b": 0.0}
-        stops = {"a": env.event(), "b": env.event()}
-
-        def start(member):
-            def _account(nbytes):
-                per_vm[member] += nbytes
-            stream().run(env, server.ingest, stops[member],
-                         on_flush=_account)
-
-        start("a")
-        env.run(until=130.0)
-        stops["a"].succeed()
-        start("b")
-        env.run(until=310.0)
-        stops["b"].succeed()
-        env.run(until=340.0)
-
-        env = Environment(seed=5)
-        server = BackupServer(env)
-        sched = GroupCheckpointScheduler(env, server.ingest)
-        sched.join("a", stream())
-        env.run(until=130.0)
-        sched.leave("a")
-        # Re-enrollment mid-run (fresh cohort at the new time).
-        sched.join("b", stream())
-        env.run(until=310.0)
-        env.run(until=env.process(sched.settle()))
-        assert sched.flushed == per_vm
-        assert sched.cohorts_created == 2
 
     def test_dead_group_is_elided(self):
         env = Environment(seed=5)
