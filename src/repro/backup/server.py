@@ -1,7 +1,6 @@
 """The backup-server resource model."""
 
 from dataclasses import dataclass
-from itertools import count
 
 from repro.sim.resources import Container, FairShareResource, fair_share_rates
 
@@ -146,7 +145,7 @@ class BackupServer:
     def __init__(self, env, spec=None):
         self.env = env
         self.spec = spec or BackupServerSpec()
-        self.id = f"bak-{self._next_id(env):04d}"
+        self.id = f"bak-{env.next_id('bak'):04d}"
         #: vm.id -> stream rate (bytes/s).
         self.streams = {}
         #: Restores in flight right now.
@@ -168,17 +167,6 @@ class BackupServer:
             on_rebalance=self._observe_datapath)
         #: Link-compatible handle checkpoint streams flush through.
         self.ingest = _BackupIngest(self)
-
-    @staticmethod
-    def _next_id(env):
-        """Per-environment ID counter: scenario N's servers are named
-        identically no matter how many simulations ran earlier in the
-        process."""
-        counter = getattr(env, "_backup_server_ids", None)
-        if counter is None:
-            counter = count(1)
-            env._backup_server_ids = counter
-        return next(counter)
 
     @property
     def failed(self):

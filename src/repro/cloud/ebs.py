@@ -8,11 +8,8 @@ of the ~23 s migration downtime (Table 1).
 """
 
 import enum
-from itertools import count
 
 from repro.cloud.errors import InvalidOperation
-
-_IDS = count(1)
 
 
 class VolumeState(enum.Enum):
@@ -30,7 +27,7 @@ class Volume:
         if size_gib <= 0:
             raise ValueError(f"volume size must be positive, got {size_gib}")
         self.env = env
-        self.id = f"vol-{next(_IDS):08x}"
+        self.id = f"vol-{env.next_id('vol'):08x}"
         self.size_gib = size_gib
         self.zone = zone
         self.state = VolumeState.AVAILABLE

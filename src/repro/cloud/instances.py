@@ -1,11 +1,8 @@
 """Native cloud instances (the host VMs SpotCheck rents)."""
 
 import enum
-from itertools import count
 
 from repro.cloud.errors import InvalidOperation
-
-_IDS = count(1)
 
 
 class Market(enum.Enum):
@@ -41,7 +38,7 @@ class Instance:
         elif bid is not None:
             raise ValueError("on-demand instances take no bid")
         self.env = env
-        self.id = f"i-{next(_IDS):08x}"
+        self.id = f"i-{env.next_id('i'):08x}"
         self.itype = itype
         self.zone = zone
         self.market = market

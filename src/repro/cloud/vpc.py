@@ -8,12 +8,8 @@ therefore its TCP connections) intact.
 """
 
 import ipaddress
-from itertools import count
 
 from repro.cloud.errors import InvalidOperation, NotFound
-
-_ENI_IDS = count(1)
-_VPC_IDS = count(1)
 
 
 class NetworkInterface:
@@ -21,7 +17,7 @@ class NetworkInterface:
 
     def __init__(self, env, subnet):
         self.env = env
-        self.id = f"eni-{next(_ENI_IDS):08x}"
+        self.id = f"eni-{env.next_id('eni'):08x}"
         self.subnet = subnet
         self.attached_to = None
         self.private_ips = set()
@@ -87,7 +83,7 @@ class Vpc:
 
     def __init__(self, env, region, cidr="10.0.0.0/16"):
         self.env = env
-        self.id = f"vpc-{next(_VPC_IDS):08x}"
+        self.id = f"vpc-{env.next_id('vpc'):08x}"
         self.region = region
         self.network = ipaddress.ip_network(cidr)
         self._subnet_blocks = self.network.subnets(new_prefix=24)

@@ -10,6 +10,7 @@ recoveries trigger live migrations back to spot.
 """
 
 import gc
+from collections import Counter
 from contextlib import contextmanager
 
 from repro.cloud.api import CloudApi
@@ -138,6 +139,8 @@ class SpotCheckController:
         self.zones = []
         #: vm.id -> (vm, home spot pool) for VMs parked on on-demand.
         self._parked = {}
+        #: home pool -> how many ``_parked`` VMs it has (the return gate).
+        self._parked_per_pool = Counter()
         self._storms = {}
         self._returning_pools = set()
         self._draining_pools = set()
@@ -289,7 +292,7 @@ class SpotCheckController:
                     p, price),
                 hi=od_price,
                 active=lambda p=pool: p.key not in self._returning_pools
-                and bool(self._parked_vms_of(p))))
+                and self._parked_per_pool[p] > 0))
 
     def _rearm_market(self, pool):
         """Wake a pool's market drive after a watch gate opened."""
@@ -300,7 +303,7 @@ class SpotCheckController:
     def start_customer(self, name=None, traffic=None):
         """Register a customer; ``traffic`` (a ``CustomerTraffic``)
         puts them under the attached traffic engine's SLA watch."""
-        customer = Customer(name)
+        customer = Customer(self.env, name)
         self.customers[customer.id] = customer
         if traffic is not None:
             if self.traffic is None:
@@ -351,7 +354,7 @@ class SpotCheckController:
             obs.metrics.counter("vms_created_total").inc()
 
         if not on_spot:
-            self._parked[vm.id] = (vm, pool)
+            self._park(vm, pool)
             self._rearm_market(pool)
         elif host.instance.state is InstanceState.MARKED_FOR_TERMINATION:
             # The warning arrived between placement and boot: this VM
@@ -816,7 +819,7 @@ class SpotCheckController:
 
     def note_parked(self, vm, home_pool, dest_kind):
         """A VM landed on the on-demand side (or a staging slot)."""
-        self._parked[vm.id] = (vm, home_pool)
+        self._park(vm, home_pool)
         obs = self.env.obs
         if obs is not None:
             obs.emit("vm.parked", vm=vm.id, dest_kind=dest_kind,
@@ -867,7 +870,7 @@ class SpotCheckController:
     def _maybe_return_to_spot(self, pool, price):
         """Crossing-tier trigger: the price recovered below on-demand."""
         if pool.key in self._returning_pools or \
-                not self._parked_vms_of(pool):
+                not self._parked_per_pool[pool]:
             return
         self._returning_pools.add(pool.key)
         self._note_pool_move(pool, "pool.return_to_spot",
@@ -884,8 +887,18 @@ class SpotCheckController:
         obs.metrics.counter("pool_moves_total", kind=event_name,
                             cause=cause).inc()
 
-    def _parked_vms_of(self, pool):
-        return [vm for vm, home in self._parked.values() if home is pool]
+    def _park(self, vm, home):
+        # Overwrite in place: a re-parked VM keeps its return order.
+        old = self._parked.get(vm.id)
+        if old is not None:
+            self._parked_per_pool[old[1]] -= 1
+        self._parked[vm.id] = (vm, home)
+        self._parked_per_pool[home] += 1
+
+    def _unpark(self, vm):
+        entry = self._parked.pop(vm.id, None)
+        if entry is not None:
+            self._parked_per_pool[entry[1]] -= 1
 
     def is_parked(self, vm):
         """Whether ``vm`` currently lives on the on-demand side."""
@@ -1000,7 +1013,8 @@ class SpotCheckController:
             od_price = pool.itype.on_demand_price
             if pool.market.current_price() > od_price:
                 return  # The dip did not last.
-            for vm in self._parked_vms_of(pool):
+            for vm in [vm for vm, home in self._parked.values()
+                       if home is pool]:
                 if not vm.is_running:
                     continue
                 host = pool.host_with_free_slot()
@@ -1016,7 +1030,7 @@ class SpotCheckController:
                 if moved is None:
                     host.hypervisor.cancel_reservation()
                     continue
-                self._parked.pop(vm.id, None)
+                self._unpark(vm)
                 # The return migration just streamed the VM's full
                 # state; the backup server tees that stream, so the
                 # image is complete the moment the VM lands — there is
@@ -1114,7 +1128,7 @@ class SpotCheckController:
 
     def _relinquish_flow(self, vm):
         self.release_backup(vm)
-        self._parked.pop(vm.id, None)
+        self._unpark(vm)
         if vm.customer is not None:
             vm.customer.remove_vm(vm)
         host = vm.host

@@ -1,9 +1,5 @@
 """Customers of the derivative cloud."""
 
-from itertools import count
-
-_IDS = count(1)
-
 
 class Customer:
     """One SpotCheck customer.
@@ -13,8 +9,8 @@ class Customer:
     SpotCheck's VPC with one public IP on a designated "head" VM.
     """
 
-    def __init__(self, name=None):
-        self.id = f"cust-{next(_IDS):04d}"
+    def __init__(self, env, name=None):
+        self.id = f"cust-{env.next_id('cust'):04d}"
         self.name = name or self.id
         self.vms = []
         self.subnets = {}

@@ -306,8 +306,8 @@ class MarketSimulation:
         Cross-market moves are restore-from-backup in SpotCheck terms:
         the source frees its slots and the coordinator reprovisions in
         the destination market, so no VM state crosses the boundary.
-        Victim order is customer insertion order (never id sort — ids
-        are process-dependent).
+        Victim order is each customer's grant order, newest first; ids
+        number VMs when they are built, not when they are granted.
         """
         victims = []
         for customer in self.customers.values():

@@ -1,6 +1,7 @@
 """The simulation environment: clock, event heap, and run loop."""
 
 import heapq
+from collections import defaultdict
 from itertools import count
 
 from repro.sim.errors import SimulationError
@@ -47,6 +48,8 @@ class Environment:
         self._now = float(initial_time)
         self._heap = []
         self._eid = count()
+        #: kind -> serial counter behind :meth:`next_id`.
+        self._ids = defaultdict(lambda: count(1))
         self.rng = RngRegistry(seed)
         self._active_process = None
         #: Total events processed by :meth:`step` over the environment's
@@ -67,6 +70,12 @@ class Environment:
     def active_process(self):
         """The process currently executing, if any."""
         return self._active_process
+
+    def next_id(self, kind):
+        """Next serial number (1, 2, ...) of ``kind`` objects in this run:
+        every object id (``nvm-*``, ``i-*``, ...) comes from here, so ids
+        never depend on what else ran in the process."""
+        return next(self._ids[kind])
 
     # -- event construction helpers ------------------------------------
 

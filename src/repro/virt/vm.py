@@ -1,11 +1,8 @@
 """Nested VMs — the unit SpotCheck sells to its customers."""
 
 import enum
-from itertools import count
 
 from repro.virt.memory import MemoryModel
-
-_IDS = count(1)
 
 #: The latest ``(time, state)`` entry made for each state.  Entries are
 #: immutable, so VMs that enter a state at the same clock reading (the
@@ -79,7 +76,7 @@ class NestedVM:
 
     def __init__(self, env, itype, memory=None, workload=None, customer=None):
         self.env = env
-        self.id = f"nvm-{next(_IDS):06x}"
+        self.id = f"nvm-{env.next_id('nvm'):06x}"
         self.itype = itype
         self.customer = customer
         self.workload = workload

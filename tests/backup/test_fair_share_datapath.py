@@ -13,6 +13,9 @@ import pytest
 from repro.backup.scheduler import RestoreScheduler
 from repro.backup.server import BackupServer, BackupUnavailable
 from repro.cloud.instance_types import M3_CATALOG
+from repro.cloud.instances import Instance, Market
+from repro.cloud.zones import default_region
+from repro.core.customer import Customer
 from repro.experiments.fig8 import run_storm
 from repro.sim.kernel import Environment
 from repro.virt.memory import MemoryModel
@@ -232,6 +235,19 @@ class TestPerEnvironmentIds:
 
     def test_ids_unique_within_environment(self, env):
         assert BackupServer(env).id != BackupServer(env).id
+
+    def test_fresh_environment_restarts_every_kind(self):
+        medium = M3_CATALOG.get("m3.medium")
+        zone = default_region(1).zones[0]
+
+        def first_ids():
+            env = Environment(seed=7)
+            return (NestedVM(env, medium).id,
+                    Instance(env, medium, zone, Market.ON_DEMAND).id,
+                    Customer(env).id)
+
+        first_ids()
+        assert first_ids() == ("nvm-000001", "i-00000001", "cust-0001")
 
 
 class TestInfeasibleCommitBound:

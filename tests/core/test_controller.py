@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.cloud.api import CloudApi
-from repro.cloud.instance_types import M3_CATALOG
 from repro.cloud.instances import InstanceState, Market
 from repro.cloud.zones import default_region
 from repro.core.config import SpotCheckConfig
@@ -36,17 +34,14 @@ def quiet_trace(type_name, od_price, base_ratio=0.2, duration=10 * DAY):
 
 def build(config=None, traces=None, on_demand_capacity=None):
     env = Environment(seed=99)
-    region = default_region(1)
-    zone = region.zones[0]
-    api = CloudApi(env, region, M3_CATALOG,
-                   on_demand_capacity=on_demand_capacity)
     archive = TraceArchive()
     trace_map = traces or {"m3.medium": spiky_trace("m3.medium", 0.07)}
     for type_name, trace in trace_map.items():
         archive.add(trace)
-    controller = SpotCheckController(env, api, config or SpotCheckConfig())
-    controller.install_pools(archive, zone)
-    return env, api, controller
+    controller = SpotCheckController.deploy(
+        env, default_region(1), archive, config or SpotCheckConfig())
+    controller.api.on_demand_capacity = on_demand_capacity
+    return env, controller.api, controller
 
 
 def launch_fleet(env, controller, count=2, workload_factory=TpcwWorkload):

@@ -44,7 +44,10 @@ def test_disabled_plan_builds_no_injector(cell, faults):
 
 
 def test_only_deploy_constructs_the_controller():
-    """No module under ``src/`` wires a controller stack by hand."""
-    root = Path(repro.__file__).parent
-    assert [path.name for path in root.rglob("*.py")
-            if "SpotCheckController(" in path.read_text()] == []
+    """No module under ``src/`` or ``tests/`` (this one aside) wires a
+    controller stack by hand."""
+    here = Path(__file__).resolve()
+    roots = (Path(repro.__file__).parent, here.parents[1])
+    assert [path.name for root in roots for path in root.rglob("*.py")
+            if path.resolve() != here
+            and "SpotCheckController(" in path.read_text()] == []

@@ -1,7 +1,5 @@
 """Condition-driven hot-spare replenishment: no polling at target."""
 
-from repro.cloud.api import CloudApi
-from repro.cloud.instance_types import M3_CATALOG
 from repro.cloud.zones import default_region
 from repro.core.config import SpotCheckConfig
 from repro.core.controller import SpotCheckController
@@ -14,16 +12,14 @@ DAY = 24 * 3600.0
 def build(hot_spares=2, on_demand_capacity=None):
     env = Environment(seed=42)
     region = default_region(1)
-    zone = region.zones[0]
-    api = CloudApi(env, region, M3_CATALOG,
-                   on_demand_capacity=on_demand_capacity)
     archive = TraceArchive()
     archive.add(PriceTrace([0.0, 10 * DAY], [0.014, 0.014],
-                           "m3.medium", zone.name, 0.07))
-    controller = SpotCheckController(env, api, SpotCheckConfig(
-        hot_spares=hot_spares, return_to_spot=False))
-    controller.install_pools(archive, zone)
-    return env, api, controller
+                           "m3.medium", region.zones[0].name, 0.07))
+    controller = SpotCheckController.deploy(
+        env, region, archive,
+        SpotCheckConfig(hot_spares=hot_spares, return_to_spot=False))
+    controller.api.on_demand_capacity = on_demand_capacity
+    return env, controller.api, controller
 
 
 class TestConditionDrivenSpares:

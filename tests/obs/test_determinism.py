@@ -1,17 +1,26 @@
 """The reproducibility contract: same seed + same config produces
 byte-identical observability output.
 
-Object ids (``nvm-*``, ``i-*``, ``vol-*``) come from process-global
-counters, so the guarantee — and therefore this test — is across fresh
-interpreter processes, which is exactly how two operators comparing
-runs would invoke the CLI.
+Every object id (``nvm-*``, ``i-*``, ``vol-*``, ...) comes from the
+run's :class:`~repro.sim.kernel.Environment`, so the guarantee holds
+per run: twin cells in one process export the same bytes, whatever ran
+between them.  The CLI twins below still run in fresh interpreters,
+which is what checks independence from ``PYTHONHASHSEED``.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
 
 import pytest
+
+from repro.experiments.chaos import default_chaos_plan
+from repro.experiments.scenario import PolicySimulation, ScenarioConfig
+from repro.experiments.sla_chaos import default_traffic_mix
+from repro.obs import Observability
+
+EXPORTS = ("events.jsonl", "metrics.prom", "traces.txt")
 
 REPO_SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(
@@ -65,27 +74,31 @@ class TestDeterminism:
         assert a != b
 
 
-#: An observed chaos + traffic cell: 4P-COST for 7 days on 4 VMs
-#: under the default chaos plan and traffic mix.  Run in a fresh
-#: interpreter (the id counters are process-global); prints one
-#: ``name sha256`` line per exported file.
-PINNED_CELL = """
-import hashlib, os, sys
-from repro.experiments.chaos import default_chaos_plan
-from repro.experiments.scenario import PolicySimulation, ScenarioConfig
-from repro.experiments.sla_chaos import default_traffic_mix
-from repro.obs import Observability
+def observed_export(config, out_dir):
+    """Run ``config`` observed in this process; ``{file: bytes}``."""
+    obs = Observability()
+    PolicySimulation(config).run(obs=obs)
+    obs.write_dir(str(out_dir))
+    return {name: (out_dir / name).read_bytes() for name in EXPORTS}
 
-config = ScenarioConfig(policy="4P-COST", seed=1, days=7.0, vms=4,
-                        faults=default_chaos_plan(),
-                        traffic=default_traffic_mix(7.0))
-obs = Observability()
-PolicySimulation(config).run(obs=obs)
-obs.write_dir(sys.argv[1])
-for name in ("events.jsonl", "metrics.prom", "traces.txt"):
-    with open(os.path.join(sys.argv[1], name), "rb") as handle:
-        print(name, hashlib.sha256(handle.read()).hexdigest())
-"""
+
+class TestInProcessTwins:
+    """Two runs of one cell in one process export the same bytes."""
+
+    CELL = ScenarioConfig(policy="4P-COST", seed=1, days=4.0, vms=4)
+
+    def test_twin_cells_export_identical_bytes(self, tmp_path):
+        first = observed_export(self.CELL, tmp_path / "a")
+        second = observed_export(self.CELL, tmp_path / "b")
+        assert first["events.jsonl"], "expected a non-empty event log"
+        assert first == second
+
+    def test_unrelated_cell_in_between_changes_nothing(self, tmp_path):
+        first = observed_export(self.CELL, tmp_path / "a")
+        observed_export(ScenarioConfig(policy="1P-M", seed=2, days=2.0,
+                                       vms=3), tmp_path / "other")
+        assert observed_export(self.CELL, tmp_path / "b") == first
+
 
 #: The cell's export digests, recorded before the SLA shape memo and
 #: the fused P² kernel existed (numpy 2.4, scipy 1.17, x86-64 glibc).
@@ -106,11 +119,12 @@ class TestPinnedExport:
     version."""
 
     def test_chaos_traffic_cell_export_is_pinned(self, tmp_path):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
-        result = subprocess.run(
-            [sys.executable, "-c", PINNED_CELL, str(tmp_path)],
-            check=True, env=env, capture_output=True, text=True,
-            timeout=300)
-        digests = dict(line.split() for line in result.stdout.splitlines())
+        # An observed chaos + traffic cell: 4P-COST for 7 days on 4 VMs
+        # under the default chaos plan and traffic mix.
+        config = ScenarioConfig(policy="4P-COST", seed=1, days=7.0, vms=4,
+                                faults=default_chaos_plan(),
+                                traffic=default_traffic_mix(7.0))
+        exports = observed_export(config, tmp_path)
+        digests = {name: hashlib.sha256(data).hexdigest()
+                   for name, data in exports.items()}
         assert digests == PINNED_DIGESTS

@@ -29,7 +29,7 @@ def make_vm(env, customer, state=VMState.RUNNING):
 
 
 def make_watched(env, pattern=None, sla=None, **engine_kwargs):
-    customer = Customer("web")
+    customer = Customer(env, "web")
     engine = TrafficEngine(env, **engine_kwargs)
     traffic = CustomerTraffic("web", pattern or ConstantRate(10.0),
                               sla or SlaTarget())
@@ -241,7 +241,7 @@ class TestLifecycle:
         engine = TrafficEngine(env)
         with pytest.raises(ValueError, match="no customers"):
             engine.start(until=100.0)
-        engine.watch(Customer("c"), CustomerTraffic("c"))
+        engine.watch(Customer(env, "c"), CustomerTraffic("c"))
         with pytest.raises(ValueError, match="future"):
             engine.start(until=0.0)
         engine.start(until=100.0)
@@ -250,7 +250,7 @@ class TestLifecycle:
 
     def test_double_watch_rejected(self, env):
         engine = TrafficEngine(env)
-        customer = Customer("c")
+        customer = Customer(env, "c")
         engine.watch(customer, CustomerTraffic("c"))
         with pytest.raises(ValueError, match="already watched"):
             engine.watch(customer, CustomerTraffic("c2"))

@@ -7,7 +7,7 @@ batched steady-flush engine, so the same scenarios now hold
 times and credited flush totals under churn, mixed plans on one
 scheduler and settlement.
 The module and test names are kept so their history stays traceable;
-the mixed-plan and leave-then-rejoin scenarios live in
+the equivalence, mixed-plan and leave-then-rejoin scenarios live in
 ``test_group_checkpoint``.
 """
 
@@ -17,55 +17,12 @@ from repro.backup.server import BackupServer
 from repro.sim.kernel import Environment
 from repro.virt.migration.checkpoint import CheckpointConfig, CheckpointStream
 from repro.virt.migration.group import GroupCheckpointScheduler
-from repro.workloads import SpecJbbWorkload, TpcwWorkload
 
 from tests.virt.test_group_checkpoint import (
     _RatedMemory,
     make_scheduler,
     make_stream,
-    per_vm_rates,
-    run_testbed,
 )
-
-class TestEquivalence:
-    @pytest.mark.parametrize("vm_count", [1, 10, 40])
-    def test_bit_identical_to_per_vm_streams(self, vm_count):
-        _, bed_a, per_vm = run_testbed(vm_count, grouped=False)
-        _, bed_b, batched = run_testbed(vm_count, grouped=True)
-        assert per_vm_rates(bed_b, batched) == per_vm_rates(bed_a, per_vm)
-        assert batched["aggregate_bps"] == per_vm["aggregate_bps"]
-
-    @pytest.mark.parametrize("workload", [TpcwWorkload, SpecJbbWorkload])
-    def test_bit_identical_across_workloads(self, workload):
-        _, bed_a, per_vm = run_testbed(10, grouped=False, workload=workload)
-        _, bed_b, batched = run_testbed(10, grouped=True, workload=workload)
-        assert per_vm_rates(bed_b, batched) == per_vm_rates(bed_a, per_vm)
-
-    def test_bit_identical_under_tight_throttle(self):
-        config = CheckpointConfig(stream_bandwidth_bps=6e6,
-                                  commit_bandwidth_bps=1.5e6)
-        _, bed_a, per_vm = run_testbed(10, grouped=False,
-                                       checkpoint_config=config)
-        _, bed_b, batched = run_testbed(10, grouped=True,
-                                        checkpoint_config=config)
-        assert per_vm_rates(bed_b, batched) == per_vm_rates(bed_a, per_vm)
-
-    def test_store_commits_match_per_vm_mode(self):
-        _, per_vm_bed, _ = run_testbed(5, grouped=False)
-        _, batched_bed, _ = run_testbed(5, grouped=True)
-        for vm_a, vm_b in zip(per_vm_bed.vms, batched_bed.vms):
-            expected = per_vm_bed.server.store.image(vm_a.id).history
-            actual = batched_bed.server.store.image(vm_b.id).history
-            # Same seed entry, then the same committed bytes: per round
-            # per VM, or as one settled fold.
-            assert actual[0] == expected[0]
-            assert sum(b for _, b in actual[1:]) \
-                == sum(b for _, b in expected[1:])
-
-    def test_batching_elides_kernel_events(self):
-        env_per_vm, _, _ = run_testbed(40, grouped=False)
-        env_batched, _, _ = run_testbed(40, grouped=True)
-        assert env_batched.events_processed * 5 < env_per_vm.events_processed
 
 
 class TestChurn:
