@@ -336,6 +336,12 @@ class BackupServer:
         batches reproduce the spec's ``min(regime, net)/n`` analytic
         shares exactly.
         """
+        for flow in flows:
+            if flow.kind != "commit":
+                break
+        else:
+            # Commits alone: the hot steady-flush case needs no scan.
+            return self.spec.disk_write_bps
         caps = []
         reads = [f for f in flows
                  if f.kind is not None and f.kind.startswith("restore:")]

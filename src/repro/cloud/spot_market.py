@@ -48,11 +48,11 @@ class PriceWatch:
 
     The watch matches trace points with ``lo < price <= hi`` (either
     bound may be ``None`` for unbounded).  ``active`` is an optional
-    zero-argument gate consulted when the drive plans its next wake-up:
-    an inactive watch's crossings are skipped entirely, so callers must
-    :meth:`SpotMarket.rearm` the market when the gate opens (the
-    callback itself must still re-check any state it depends on — the
-    gate is a scheduling hint, not a correctness guard).
+    zero-argument gate consulted when the drive plans its next wake-up
+    and again at delivery: an inactive watch's crossings are skipped
+    entirely, and it is not called back at points the drive wakes for
+    on another listener's behalf.  Callers must
+    :meth:`SpotMarket.rearm` the market when the gate opens.
     """
 
     __slots__ = ("lo", "hi", "callback", "active", "_match_cache",
@@ -444,7 +444,7 @@ class SpotMarket:
                 obs.emit("spot.price", type=self.itype.name,
                          zone=self.zone.name, price=price)
             for watch in list(self._watches):
-                if watch.matches(price):
+                if watch.matches(price) and watch.active():
                     watch.callback(self, price)
             self._warn_outbid(price)
         finally:

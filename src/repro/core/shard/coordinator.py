@@ -90,6 +90,9 @@ class _InlineHost:
     def __init__(self, config, assignments):
         self.shard = MarketShard(assignments, config)
 
+    def ready(self):
+        pass
+
     def submit(self, command):
         self._reply = self.shard.execute(command)
 
@@ -101,7 +104,12 @@ class _InlineHost:
 
 
 class _ProcessHost:
-    """One forked worker; submit/collect split so shards overlap."""
+    """One forked worker; submit/collect split so shards overlap.
+
+    Construction only forks: the worker builds its shard while the
+    coordinator forks the next one, and :meth:`ready` waits for the
+    build's handshake.
+    """
 
     def __init__(self, config, assignments):
         ctx = multiprocessing.get_context("fork")
@@ -111,7 +119,9 @@ class _ProcessHost:
             daemon=True)
         self.process.start()
         child.close()
-        self._check(self.conn.recv())  # ready handshake
+
+    def ready(self):
+        self.collect()  # ready handshake
 
     def _check(self, reply):
         if reply.error is not None:
@@ -217,8 +227,12 @@ class ShardedCell:
         host_cls = _InlineHost if shards == 1 else _ProcessHost
         hosts = []
         try:
+            # Fork every worker before waiting on any, so the shards
+            # build in parallel; a failed handshake stops them all.
             for bucket in assignments:
                 hosts.append(host_cls(self.config, bucket))
+            for host in hosts:
+                host.ready()
             market_host = {}
             for host, bucket in zip(hosts, assignments):
                 for index, _spec, _count in bucket:

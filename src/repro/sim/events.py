@@ -72,7 +72,7 @@ class Event:
 
     def succeed(self, value=None):
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
@@ -151,7 +151,7 @@ class _Condition(Event):
         raise NotImplementedError
 
     def _check(self, event):
-        if self.triggered:
+        if self._value is not PENDING:
             event._defused = True  # condition already settled
             return
         if event._ok is False:

@@ -1,7 +1,9 @@
 """Generator-based simulation processes."""
 
+from types import GeneratorType
+
 from repro.sim.errors import Interrupt, SimulationError
-from repro.sim.events import Event
+from repro.sim.events import PENDING, URGENT, Event
 
 
 class Process(Event):
@@ -17,22 +19,31 @@ class Process(Event):
     __slots__ = ("_generator", "_waiting_on")
 
     def __init__(self, env, generator):
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+        if type(generator) is not GeneratorType and (
+                not hasattr(generator, "send")
+                or not hasattr(generator, "throw")):
             raise TypeError(f"{generator!r} is not a generator")
-        super().__init__(env)
+        # Inlined Event.__init__: every flush round starts processes.
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self._defused = False
         self._generator = generator
         self._waiting_on = None
         # Bootstrap: resume the generator at the current time.
-        init = Event(env)
-        init._ok = True
+        init = Event.__new__(Event)
+        init.env = env
+        init.callbacks = [self._resume]
         init._value = None
-        init.callbacks.append(self._resume)
-        env.schedule(init, priority=0)
+        init._ok = True
+        init._defused = False
+        env.schedule(init, priority=URGENT)
 
     @property
     def is_alive(self):
         """True while the wrapped generator has not finished."""
-        return not self.triggered
+        return self._value is PENDING
 
     def interrupt(self, cause=None):
         """Throw :class:`Interrupt` into the process at the current time.
@@ -41,17 +52,18 @@ class Process(Event):
         process that is waiting on an event detaches it from that event
         first.
         """
-        if self.triggered:
+        if self._value is not PENDING:
             raise SimulationError("cannot interrupt a finished process")
-        interrupt_event = Event(self.env)
-        interrupt_event._ok = False
+        interrupt_event = Event.__new__(Event)
+        interrupt_event.env = self.env
+        interrupt_event.callbacks = [self._resume]
         interrupt_event._value = Interrupt(cause)
+        interrupt_event._ok = False
         interrupt_event._defused = True
-        interrupt_event.callbacks.append(self._resume)
-        self.env.schedule(interrupt_event, priority=0)
+        self.env.schedule(interrupt_event, priority=URGENT)
 
     def _resume(self, event):
-        if self.triggered:
+        if self._value is not PENDING:
             return  # Process finished before a queued interrupt landed.
         # Detach from whatever we were waiting on if this is an interrupt.
         if self._waiting_on is not None and self._waiting_on is not event:

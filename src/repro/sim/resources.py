@@ -3,6 +3,7 @@ and the multi-path processor-sharing bandwidth resource."""
 
 from collections import deque
 
+from repro.sim.errors import Interrupt
 from repro.sim.events import Event
 
 
@@ -187,6 +188,42 @@ class FairShareResource:
         self._replan()
 
     def _compute_rates(self, flows):
+        """Multi-path max-min fair rates of ``flows``, in flow order.
+
+        Nearly every recomputation on a backup datapath sees zero flows
+        or one (a lone cohort flush), so those get a closed form; two
+        or more run :meth:`_progressive_filling`.
+        """
+        if len(flows) > 1:
+            return self._progressive_filling(flows)
+        if not flows:
+            return []
+        return [self._lone_rate(flows[0])]
+
+    def _lone_rate(self, flow):
+        """The progressive-filling rate of a flow that is alone.
+
+        Its rate cap if the cap lies below its smallest path capacity,
+        else that capacity: the general loop's first round, with the
+        same float expressions (``max(capacity, 0.0)`` over one open
+        flow) and the same first-minimum tie-break in path order.
+        """
+        paths = flow.paths
+        level = None
+        for path, capacity in self.capacities.items():
+            if path not in paths:
+                continue
+            if callable(capacity):
+                capacity = capacity([flow])
+            capacity = max(float(capacity), 0.0)
+            if level is None or capacity < level:
+                level = capacity
+        cap = flow.rate_cap
+        if cap is not None and cap < level:
+            return cap
+        return level
+
+    def _progressive_filling(self, flows):
         """Multi-path max-min fair allocation (progressive filling).
 
         Repeatedly: compute each path's equal-share water level over
@@ -194,48 +231,55 @@ class FairShareResource:
         their attainable level at the cap, otherwise freeze the most
         constrained path's flows at its level, charging every path they
         cross.  Each round fixes at least one flow, and a fixed flow's
-        rate never exceeds any of its paths' remaining capacity.
+        rate never exceeds any of its paths' remaining capacity.  Flows
+        are fixed, and paths charged, in flow order.
         """
-        if not flows:
-            return []
         members = {}
         remaining = {}
+        open_count = {}
         for path in self.capacities:
             on_path = [f for f in flows if path in f.paths]
             if on_path:
                 members[path] = on_path
                 remaining[path] = max(self._capacity(path, on_path), 0.0)
+                open_count[path] = len(on_path)
         rates = {}
-        unfixed = set(flows)
+        unfixed = flows
         while unfixed:
-            levels = {}
-            for path, on_path in members.items():
-                open_count = sum(1 for f in on_path if f in unfixed)
-                if open_count:
-                    levels[path] = max(remaining[path], 0.0) / open_count
-
-            def attainable(flow):
-                return min(levels[p] for p in flow.paths if p in levels)
-
-            capped = [f for f in unfixed
-                      if f.rate_cap is not None
-                      and f.rate_cap < attainable(f)]
+            levels = {path: max(remaining[path], 0.0) / count
+                      for path, count in open_count.items() if count}
+            capped = []
+            for flow in unfixed:
+                cap = flow.rate_cap
+                if cap is None:
+                    continue
+                # The flow's attainable level: the smallest water level
+                # on its paths (every path of an unfixed flow is open).
+                paths = flow.paths
+                attainable = levels[paths[0]]
+                for path in paths[1:]:
+                    if levels[path] < attainable:
+                        attainable = levels[path]
+                if cap < attainable:
+                    capped.append(flow)
             if capped:
                 for flow in capped:
-                    rates[flow] = flow.rate_cap
+                    cap = flow.rate_cap
+                    rates[flow] = cap
                     for path in flow.paths:
-                        remaining[path] -= flow.rate_cap
-                    unfixed.discard(flow)
-                continue
-            bottleneck = min(levels, key=levels.get)
-            level = levels[bottleneck]
-            for flow in members[bottleneck]:
-                if flow not in unfixed:
-                    continue
-                rates[flow] = level
-                for path in flow.paths:
-                    remaining[path] -= level
-                unfixed.discard(flow)
+                        remaining[path] -= cap
+                        open_count[path] -= 1
+            else:
+                bottleneck = min(levels, key=levels.get)
+                level = levels[bottleneck]
+                for flow in members[bottleneck]:
+                    if flow in rates:
+                        continue
+                    rates[flow] = level
+                    for path in flow.paths:
+                        remaining[path] -= level
+                        open_count[path] -= 1
+            unfixed = [f for f in unfixed if f not in rates]
         return [rates.get(flow, 0.0) for flow in flows]
 
     def _replan(self):
@@ -243,6 +287,8 @@ class FairShareResource:
         if self._wakeup is not None and self._wakeup.is_alive:
             self._wakeup.interrupt()
             self._wakeup = None
+        if not self.flows:
+            return
         times = [flow.remaining / flow.rate
                  for flow in self.flows if flow.rate > 0]
         if not times:
@@ -254,7 +300,6 @@ class FairShareResource:
         self._wakeup = self.env.process(self._sleep_then_settle(next_done))
 
     def _sleep_then_settle(self, delay):
-        from repro.sim.errors import Interrupt
         try:
             yield self.env.timeout(delay)
         except Interrupt:

@@ -119,31 +119,28 @@ class _Cohort:
 
     def _arm_flush(self, dirty):
         sched = self.sched
-        env = sched.env
-        n = len(self.members)
-        cap = self.plan[2]
         round_index = self.rounds_armed
         self.rounds_armed += 1
         sched.flows_issued += 1
         self.flags.append(False)
-        # Prune completed flows on every arm: a healthy cohort keeps at
-        # most a flush or two in flight (flush time < interval), and a
-        # dead process reference would otherwise pin its frame for the
-        # cohort's whole life — a slow leak under fleet-length runs.
-        if self.in_flight:
-            self.in_flight = [p for p in self.in_flight if p.is_alive]
+        self.in_flight.append(sched.env.process(
+            self._flush(len(self.members), dirty, round_index)))
 
-        def _flush():
-            yield sched.link.transfer(dirty * n, rate_cap=cap * n)
-            self.flags[round_index] = True
-            obs = getattr(env, "obs", None)
-            if obs is not None:
-                obs.emit("checkpoint.group_flush", members=n,
-                         bytes=dirty * n, round=round_index + 1)
-                obs.metrics.counter("checkpoint_flushes_total").inc(n)
-                obs.metrics.counter("checkpoint_bytes_total").inc(dirty * n)
-
-        self.in_flight.append(env.process(_flush()))
+    def _flush(self, n, dirty, round_index):
+        sched = self.sched
+        env = sched.env
+        yield sched.link.transfer(dirty * n, rate_cap=self.plan[2] * n)
+        self.flags[round_index] = True
+        # Leave the in-flight list on completion: a dead process
+        # reference would pin its frame for the cohort's whole life, a
+        # slow leak under fleet-length runs.
+        self.in_flight.remove(env.active_process)
+        obs = getattr(env, "obs", None)
+        if obs is not None:
+            obs.emit("checkpoint.group_flush", members=n,
+                     bytes=dirty * n, round=round_index + 1)
+            obs.metrics.counter("checkpoint_flushes_total").inc(n)
+            obs.metrics.counter("checkpoint_bytes_total").inc(dirty * n)
 
     def remove(self, member_id):
         payload = self.members.pop(member_id)

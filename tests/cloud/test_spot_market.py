@@ -300,6 +300,19 @@ class TestEventSkipping:
         env.run()
         assert market.drive_stats()["delivered"] == 0
 
+    def test_inactive_watch_is_not_called_at_others_points(self, env, zone):
+        """A point the drive wakes for on an open watch's behalf is not
+        handed to a matching watch whose gate is closed."""
+        steps = [(float(i * 60), 0.02) for i in range(10)]
+        market = make_market(env, zone, steps=steps)
+        gated, open_ = [], []
+        market.add_watch(PriceWatch(lambda m, p: gated.append(p), hi=0.05,
+                                    active=lambda: False))
+        market.add_watch(PriceWatch(lambda m, p: open_.append(p)))
+        env.run()
+        assert len(open_) == 10
+        assert gated == []
+
     def test_rearm_does_not_replay_stale_points(self, env, zone):
         # Regression: the price dips into the watch band at t=100 while
         # the watch gate is closed; the gate opens at t=150 (between

@@ -171,6 +171,22 @@ class TestBitIdentity:
         assert results[0].summary["revocation_events"] > 0
         assert results[0].summary["migrations"] > 0
 
+    def test_price_crossings_alternate_per_market(self):
+        """A crossing tap reports edges only: a point the drive wakes
+        for on another listener's behalf (a bid crossing, the
+        controller's watches) does not repeat the last band."""
+        [result] = run_digests(8, spiky_markets("ab"),
+                               ShardConfig(seed=5, days=1.0), (1,))
+        bands = {}
+        for message in result.messages:
+            if type(message).__name__ == "PriceCrossing":
+                bands.setdefault(message.market_key, []).append(
+                    message.band)
+        assert bands
+        for market_bands in bands.values():
+            assert all(a != b for a, b in
+                       zip(market_bands, market_bands[1:])), market_bands
+
     def test_chaos_plan_run_is_identical_across_shards(self):
         # The backup crash moved inside the day: one under steady flush.
         plan = replace(default_chaos_plan(),

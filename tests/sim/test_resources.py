@@ -1,9 +1,15 @@
 """Tests for Resource, Container, and the fair-share bandwidth resource."""
 
-import pytest
+import math
+import struct
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.backup.server import BackupServer
 from repro.sim import (Container, Environment, FairShareResource, Resource,
                        fair_share_rates)
+from repro.sim.resources import _FairFlow
 
 
 class TestResource:
@@ -283,3 +289,171 @@ class TestFairShareResource:
         env.run(until=proc)
         assert proc.value == pytest.approx(3.0)
         assert env.now == pytest.approx(10.0)
+
+
+def _bits(rates):
+    """Rates as (type, IEEE-754 bytes): equal only if bit-identical."""
+    return [(type(rate), struct.pack("<d", rate)) for rate in rates]
+
+
+def _near(level):
+    """Rate caps just below, at and just above one capacity level."""
+    return st.sampled_from((
+        level / 2, math.nextafter(level, 0.0), level,
+        math.nextafter(level, math.inf), level * 2))
+
+
+PATH_NAMES = ("disk", "nic", "wan")
+KINDS = ("commit", "restore:full:opt", "restore:lazy:unopt", "skeleton")
+
+
+@st.composite
+def lone_flow_cases(draw):
+    """A datapath of 1-3 paths and one flow on some of them.
+
+    Each path is a constant capacity, a callable that answers commit
+    and restore flows differently, or a callable at zero capacity.
+    The rate cap is absent or sits below, at or above one of the
+    levels the paths can report.
+    """
+    count = draw(st.integers(1, 3))
+    names = PATH_NAMES[:count]
+    capacities = {}
+    levels = []
+    for name in names:
+        write = draw(st.floats(1.0, 1e10))
+        style = draw(st.sampled_from(("constant", "by-kind", "zero")))
+        if style == "constant":
+            capacities[name] = write
+            levels.append(write)
+        elif style == "by-kind":
+            read = draw(st.floats(1.0, 1e10))
+            capacities[name] = (
+                lambda flows, write=write, read=read:
+                read if flows[0].kind.startswith("restore:") else write)
+            levels.extend((write, read))
+        else:
+            capacities[name] = lambda flows: 0.0
+    order = draw(st.permutations(names))
+    paths = tuple(order[:draw(st.integers(1, count))])
+    kind = draw(st.sampled_from(KINDS))
+    levels.append(1.0)
+    rate_cap = draw(st.none() | st.sampled_from(levels).flatmap(_near))
+    return capacities, paths, rate_cap, kind
+
+
+class TestLoneFlowFastPath:
+    """The zero- and one-flow closed forms against progressive filling."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=lone_flow_cases())
+    def test_one_flow_matches_progressive_filling(self, case):
+        capacities, paths, rate_cap, kind = case
+        env = Environment()
+        resource = FairShareResource(env, capacities)
+        flows = [_FairFlow(env, 1e6, paths, rate_cap, kind)]
+        fast = resource._compute_rates(flows)
+        assert _bits(fast) == _bits(resource._progressive_filling(flows))
+
+    def test_zero_flows_match_progressive_filling(self, env):
+        resource = FairShareResource(env, {"disk": 90.0, "nic": 60.0})
+        assert resource._compute_rates([]) == []
+        assert resource._progressive_filling([]) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(("commit", "full", "lazy")),
+           optimized=st.booleans(),
+           cap=st.none() | st.sampled_from(
+               (1e6, 55e6, 109.9e6, 110e6, 125e6, 1e9)).flatmap(_near))
+    def test_backup_datapath_flow_matches(self, kind, optimized, cap):
+        """The backup server's mix-dependent disk capacity, fed one
+        commit or restore flow at a time."""
+        env = Environment()
+        server = BackupServer(env)
+        datapath = server.datapath
+        if kind == "commit":
+            server.commit_flow(1e6, rate_cap=cap)
+        else:
+            server.restore_read_flow(1e6, kind, optimized)
+            datapath.flows[0].rate_cap = cap
+        flows = list(datapath.flows)
+        assert _bits(datapath._compute_rates(flows)) == \
+            _bits(datapath._progressive_filling(flows))
+
+
+def _reference_filling(resource, flows):
+    """Progressive filling as first written: unfixed flows in a set,
+    open counts rescanned every round.  Capped flows are charged in set
+    order, so its float rounding may differ from the solver's in the
+    last bits; answers are compared to a tolerance."""
+    members, remaining = {}, {}
+    for path in resource.capacities:
+        on_path = [f for f in flows if path in f.paths]
+        if on_path:
+            members[path] = on_path
+            remaining[path] = max(resource._capacity(path, on_path), 0.0)
+    rates = {}
+    unfixed = set(flows)
+    while unfixed:
+        levels = {}
+        for path, on_path in members.items():
+            open_count = sum(1 for f in on_path if f in unfixed)
+            if open_count:
+                levels[path] = max(remaining[path], 0.0) / open_count
+        capped = [f for f in unfixed if f.rate_cap is not None and
+                  f.rate_cap < min(levels[p] for p in f.paths)]
+        if capped:
+            for flow in capped:
+                rates[flow] = flow.rate_cap
+                for path in flow.paths:
+                    remaining[path] -= flow.rate_cap
+                unfixed.discard(flow)
+            continue
+        bottleneck = min(levels, key=levels.get)
+        for flow in members[bottleneck]:
+            if flow in unfixed:
+                rates[flow] = levels[bottleneck]
+                for path in flow.paths:
+                    remaining[path] -= levels[bottleneck]
+                unfixed.discard(flow)
+    return [rates[flow] for flow in flows]
+
+
+@st.composite
+def multi_flow_cases(draw):
+    """2-6 flows over 1-3 constant or kind-dependent paths."""
+    count = draw(st.integers(1, 3))
+    names = PATH_NAMES[:count]
+    capacities = {}
+    for name in names:
+        write = draw(st.floats(1.0, 1e9))
+        if draw(st.booleans()):
+            capacities[name] = write
+        else:
+            capacities[name] = (
+                lambda flows, write=write: write / len(flows)
+                if any(f.kind.startswith("restore:") for f in flows)
+                else write)
+    flows = []
+    for _ in range(draw(st.integers(2, 6))):
+        order = draw(st.permutations(names))
+        paths = tuple(order[:draw(st.integers(1, count))])
+        rate_cap = draw(st.none() | st.floats(1.0, 1e9))
+        flows.append((paths, rate_cap, draw(st.sampled_from(KINDS))))
+    return capacities, flows
+
+
+class TestProgressiveFilling:
+    @settings(max_examples=200, deadline=None)
+    @given(case=multi_flow_cases())
+    def test_matches_the_reference_solver(self, case):
+        capacities, specs = case
+        env = Environment()
+        resource = FairShareResource(env, capacities)
+        flows = [_FairFlow(env, 1e6, paths, cap, kind)
+                 for paths, cap, kind in specs]
+        rates = resource._progressive_filling(flows)
+        expected = _reference_filling(resource, flows)
+        scale = max(c if not callable(c) else 1e9
+                    for c in capacities.values())
+        assert rates == pytest.approx(expected, rel=1e-9, abs=1e-9 * scale)
